@@ -365,13 +365,3 @@ func BenchmarkDecodeReference(b *testing.B) {
 		return err
 	})
 }
-
-// BenchmarkDecodeParallel times the gap-array parallel decoder. Per-block
-// goroutine fan-out only pays off against decode-side latency hiding, not
-// raw throughput — expect it to trail the serial LUT path here.
-func BenchmarkDecodeParallel(b *testing.B) {
-	benchDecode(b, func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error {
-		_, err := c.Table.DecodeWaysParallel(it.Payload, it.Starts, 0, 0, &it.Gaps)
-		return err
-	})
-}

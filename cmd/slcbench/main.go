@@ -33,8 +33,8 @@
 // (observable via the Store hit counters in -json output). -store-clear
 // empties the store first.
 //
-// -decodebench times the three entropy decoders (LUT, bit-by-bit reference,
-// gap-array parallel) over corpora sampled from every registered workload.
+// -decodebench times the two entropy decoders (LUT, bit-by-bit reference)
+// over corpora sampled from every registered workload.
 // Alone it prints a per-workload table; combined with -json (with or
 // without another target) the timings land in the trajectory's Decode
 // section, which CI uploads per push.
@@ -341,12 +341,11 @@ func printSimBenches(w io.Writer, sbench []experiments.SimBench) {
 // printDecodeBenches renders the -decodebench timings as a text table.
 func printDecodeBenches(w io.Writer, dbench []experiments.DecodeBench) {
 	fmt.Fprintf(w, "entropy decode (ns/block over sampled corpora)\n")
-	fmt.Fprintf(w, "  %-8s %7s %10s %10s %10s %9s\n",
-		"workload", "blocks", "LUT", "reference", "parallel", "speedup")
+	fmt.Fprintf(w, "  %-8s %7s %10s %10s %9s\n",
+		"workload", "blocks", "LUT", "reference", "speedup")
 	for _, d := range dbench {
-		fmt.Fprintf(w, "  %-8s %7d %10.1f %10.1f %10.1f %8.2fx\n",
-			d.Workload, d.Blocks, d.LUTNsPerBlock, d.RefNsPerBlock,
-			d.ParNsPerBlock, d.Speedup)
+		fmt.Fprintf(w, "  %-8s %7d %10.1f %10.1f %8.2fx\n",
+			d.Workload, d.Blocks, d.LUTNsPerBlock, d.RefNsPerBlock, d.Speedup)
 	}
 }
 

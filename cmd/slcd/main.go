@@ -6,7 +6,7 @@
 // Endpoints (see internal/serving and the README quick-start):
 //
 //	POST /v1/compress    compress data block-by-block under a codec
-//	POST /v1/decompress  decode blocks (E2MC uses the parallel gap decode)
+//	POST /v1/decompress  decode blocks back to bytes, fanned across workers
 //	POST /v1/evaluate    run data or a workload through the real pipeline
 //	GET  /v1/codecs      registered codecs and training profiles
 //	GET  /healthz        200 while serving, 503 while draining

@@ -19,20 +19,32 @@ func NewBitWriter(sizeHint int) *BitWriter {
 }
 
 // WriteBits appends the n least-significant bits of v, MSB first. n must be
-// in [0, 64].
+// in [0, 64]; bits of v above n are ignored. It works a byte at a time: top
+// up the partial last byte, append whole bytes, then start a new partial
+// byte. buf always holds every written bit (unwritten trailing bits are
+// zero), so Bytes may be called mid-stream and writing may continue.
 func (w *BitWriter) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("compress: WriteBits width %d out of range", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		bit := byte(v>>uint(i)) & 1
-		if w.nbit&7 == 0 {
-			w.buf = append(w.buf, 0)
+	if n < 64 {
+		v &= 1<<uint(n) - 1
+	}
+	w.nbit += n
+	if used := (w.nbit - n) & 7; used != 0 {
+		free := 8 - used
+		if n <= free {
+			w.buf[len(w.buf)-1] |= byte(v << uint(free-n))
+			return
 		}
-		if bit != 0 {
-			w.buf[w.nbit>>3] |= 0x80 >> uint(w.nbit&7)
-		}
-		w.nbit++
+		n -= free
+		w.buf[len(w.buf)-1] |= byte(v >> uint(n))
+	}
+	for ; n >= 8; n -= 8 {
+		w.buf = append(w.buf, byte(v>>uint(n-8)))
+	}
+	if n > 0 {
+		w.buf = append(w.buf, byte(v<<uint(8-n)))
 	}
 }
 

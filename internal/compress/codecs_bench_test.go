@@ -8,10 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/compress/bdi"
-	"repro/internal/compress/cpack"
+	_ "repro/internal/compress/all" // register every codec
 	"repro/internal/compress/e2mc"
-	"repro/internal/compress/fpc"
 	"repro/internal/gpu/device"
 	"repro/internal/pipeline"
 	"repro/internal/slc"
@@ -48,31 +46,9 @@ func benchBlocks(n int) [][]byte {
 	return blocks
 }
 
-func benchCodec(b *testing.B, c compress.Codec) {
-	blocks := benchBlocks(256)
-	dst := make([]byte, compress.BlockSize)
-	b.Run("Compress", func(b *testing.B) {
-		b.SetBytes(compress.BlockSize)
-		for i := 0; i < b.N; i++ {
-			c.Compress(blocks[i%len(blocks)])
-		}
-	})
-	b.Run("RoundTrip", func(b *testing.B) {
-		b.SetBytes(compress.BlockSize)
-		for i := 0; i < b.N; i++ {
-			enc := c.Compress(blocks[i%len(blocks)])
-			if err := c.Decompress(enc, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkBDI(b *testing.B)   { benchCodec(b, bdi.Codec{}) }
-func BenchmarkFPC(b *testing.B)   { benchCodec(b, fpc.Codec{}) }
-func BenchmarkCPACK(b *testing.B) { benchCodec(b, cpack.Codec{}) }
-
-func BenchmarkE2MC(b *testing.B) {
+// benchTable trains the one small entropy table every table-driven codec
+// in BenchmarkCodecs shares.
+func benchTable(b *testing.B) *e2mc.Table {
 	tr := e2mc.NewTrainer()
 	for _, blk := range benchBlocks(512) {
 		tr.Sample(blk)
@@ -81,7 +57,57 @@ func BenchmarkE2MC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchCodec(b, e2mc.New(tab))
+	return tab
+}
+
+// BenchmarkCodecs times every registered codec over the mixed corpus, one
+// block per op (so ns/op is ns/block): Compress, Decompress of the codec's
+// own encodings, and — for codecs implementing compress.Syncer — the
+// pipeline's SyncBlock fast path on a scratch copy of each block. Run one
+// codec with e.g. -bench 'Codecs/e2mc/'.
+func BenchmarkCodecs(b *testing.B) {
+	blocks := benchBlocks(256)
+	tab := benchTable(b)
+	for _, name := range compress.Names() {
+		info, _ := compress.Lookup(name)
+		ctx := compress.BuildContext{MAG: compress.MAG32}
+		if info.NeedsTable {
+			ctx.Table = tab
+		}
+		c, err := info.New(ctx)
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		encs := make([]compress.Encoded, len(blocks))
+		for i, blk := range blocks {
+			encs[i] = c.Compress(blk)
+		}
+		b.Run(name+"/Compress", func(b *testing.B) {
+			b.SetBytes(compress.BlockSize)
+			for i := 0; i < b.N; i++ {
+				c.Compress(blocks[i%len(blocks)])
+			}
+		})
+		b.Run(name+"/Decompress", func(b *testing.B) {
+			dst := make([]byte, compress.BlockSize)
+			b.SetBytes(compress.BlockSize)
+			for i := 0; i < b.N; i++ {
+				if err := c.Decompress(encs[i%len(encs)], dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if s, ok := c.(compress.Syncer); ok {
+			b.Run(name+"/SyncBlock", func(b *testing.B) {
+				scratch := make([]byte, compress.BlockSize)
+				b.SetBytes(compress.BlockSize)
+				for i := 0; i < b.N; i++ {
+					copy(scratch, blocks[i%len(blocks)])
+					s.SyncBlock(scratch)
+				}
+			})
+		}
+	}
 }
 
 // benchSync measures pipeline.Sync — the hot path of every evaluation cell —
@@ -104,14 +130,7 @@ func benchSync(b *testing.B, workers int) {
 	for off := 0; off < len(mem); off += compress.BlockSize {
 		copy(mem[off:], blocks[(off/compress.BlockSize)%len(blocks)])
 	}
-	tr := e2mc.NewTrainer()
-	for _, blk := range blocks {
-		tr.Sample(blk)
-	}
-	tab, err := tr.Build(0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tab := benchTable(b)
 	lossy, err := slc.New(tab, slc.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)

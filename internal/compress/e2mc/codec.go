@@ -2,7 +2,6 @@ package e2mc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/compress"
 )
@@ -49,34 +48,69 @@ func waySpan(way int) (int, int) {
 	return way * SymbolsPerWay, (way + 1) * SymbolsPerWay
 }
 
-// EncodeWays entropy-codes the block's symbols into PDWs byte-aligned
-// bitstreams, omitting symbols in [skipStart, skipStart+skipLen) — the span
-// SLC truncates (skipLen 0 encodes everything). It returns the way payloads,
-// their sizes in bits before byte padding, and the gap-array checkpoints: the
-// bit offset within each way at every gapK-th in-way symbol boundary
-// (counting skipped symbols, whose offset simply does not advance).
-func (t *Table) EncodeWays(syms [compress.SymbolsPerBlock]uint16, skipStart, skipLen int) (ways [PDWs][]byte, wayBits [PDWs]int, gaps GapArray) {
-	gapK := t.gapK
-	if gapK == 0 {
-		gapK = DefaultGapK
-	}
-	for wy := 0; wy < PDWs; wy++ {
-		lo, hi := waySpan(wy)
-		w := compress.NewBitWriter(SymbolsPerWay * 8)
-		for i := lo; i < hi; i++ {
-			if j := i - lo; j > 0 && j%gapK == 0 {
-				gaps[wy*MaxGapsPerWay+j/gapK-1] = uint16(w.Len())
-			}
-			if i >= skipStart && i < skipStart+skipLen {
-				continue
-			}
-			t.encodeSymbol(w, syms[i])
+// WayBits returns each way's encoded size in bits before byte padding,
+// omitting symbols in [skipStart, skipStart+skipLen) — the span SLC
+// truncates (skipLen 0 counts everything). It sums the same per-symbol
+// lengths the TSLC adder tree does, so a block can be sized before any bit
+// is written.
+//
+//slclint:allocfree
+func (t *Table) WayBits(syms *[compress.SymbolsPerBlock]uint16, skipStart, skipLen int) (wayBits [PDWs]int) {
+	for i, s := range syms {
+		if i >= skipStart && i < skipStart+skipLen {
+			continue
 		}
+		wayBits[i/SymbolsPerWay] += t.SymbolBits(s)
+	}
+	return wayBits
+}
+
+// WritePointers writes the 7-bit parallel decoding pointers of ways 1..3 —
+// their absolute byte offsets in a block whose header is headerBytes long
+// and whose ways have the given unpadded sizes. The caller byte-aligns the
+// header afterwards.
+func WritePointers(w *compress.BitWriter, headerBytes int, wayBits [PDWs]int) {
+	start := headerBytes
+	for wy := 1; wy < PDWs; wy++ {
+		start += (wayBits[wy-1] + 7) / 8
+		w.WriteBits(uint64(start), pdpBits)
+	}
+}
+
+// encodeWay appends one way's symbols to w, skipping the truncation span.
+func (t *Table) encodeWay(w *compress.BitWriter, syms *[compress.SymbolsPerBlock]uint16, wy, skipStart, skipLen int) {
+	lo, hi := waySpan(wy)
+	for i := lo; i < hi; i++ {
+		if i >= skipStart && i < skipStart+skipLen {
+			continue
+		}
+		t.encodeSymbol(w, syms[i])
+	}
+}
+
+// WriteWays entropy-codes the block's symbols into w as PDWs consecutive
+// ways, each padded to a byte boundary, omitting the skip span. Starting
+// from a byte-aligned w, way wy then begins at the byte offset WritePointers
+// recorded for it.
+func (t *Table) WriteWays(w *compress.BitWriter, syms *[compress.SymbolsPerBlock]uint16, skipStart, skipLen int) {
+	for wy := 0; wy < PDWs; wy++ {
+		t.encodeWay(w, syms, wy, skipStart, skipLen)
+		w.AlignByte()
+	}
+}
+
+// EncodeWays entropy-codes the block's symbols into PDWs separate
+// byte-aligned bitstreams, omitting the skip span, and returns them with
+// their sizes in bits before byte padding.
+func (t *Table) EncodeWays(syms [compress.SymbolsPerBlock]uint16, skipStart, skipLen int) (ways [PDWs][]byte, wayBits [PDWs]int) {
+	for wy := 0; wy < PDWs; wy++ {
+		w := compress.NewBitWriter(SymbolsPerWay * t.MaxSymbolBits())
+		t.encodeWay(w, &syms, wy, skipStart, skipLen)
 		wayBits[wy] = w.Len()
 		w.AlignByte()
 		ways[wy] = w.Bytes()
 	}
-	return ways, wayBits, gaps
+	return ways, wayBits
 }
 
 // decodeSpan LUT-decodes the symbols with absolute index [lo, hi) from r
@@ -140,9 +174,9 @@ func (t *Table) DecodeWays(payload []byte, wayStart [PDWs]int, skipStart, skipLe
 	return syms, nil
 }
 
-// DecodeWaysRef is the retained bit-by-bit reference decoder. The LUT and
-// gap-array paths must produce bitwise-identical output (and must error
-// whenever it errors); FuzzDecodeLUT cross-checks all three.
+// DecodeWaysRef is the retained bit-by-bit reference decoder. The LUT path
+// must produce bitwise-identical output (and must error whenever it errors);
+// FuzzDecodeLUT cross-checks the two.
 func (t *Table) DecodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, skipLen int) ([compress.SymbolsPerBlock]uint16, error) {
 	var syms [compress.SymbolsPerBlock]uint16
 	for wy := 0; wy < PDWs; wy++ {
@@ -165,57 +199,6 @@ func (t *Table) DecodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, ski
 	return syms, nil
 }
 
-// DecodeWaysParallel decodes one block's ways concurrently: the gap array
-// splits each way into segments of gapK symbols, and every (way, segment)
-// chunk decodes on its own goroutine into a disjoint index range of the
-// shared output. Output and errors are merged deterministically in chunk
-// order, so the result — values and error — is bitwise-identical to the
-// serial DecodeWays.
-func (t *Table) DecodeWaysParallel(payload []byte, wayStart [PDWs]int, skipStart, skipLen int, gaps *GapArray) ([compress.SymbolsPerBlock]uint16, error) {
-	var syms [compress.SymbolsPerBlock]uint16
-	if t.lut == nil {
-		return t.DecodeWaysRef(payload, wayStart, skipStart, skipLen)
-	}
-	gapK := t.gapK
-	if gapK == 0 {
-		gapK = DefaultGapK
-	}
-	segs := SymbolsPerWay / gapK
-	for wy := 0; wy < PDWs; wy++ {
-		if wayStart[wy] < 0 || wayStart[wy] > len(payload) {
-			return syms, fmt.Errorf("e2mc: way %d starts at byte %d outside payload (%d bytes)", wy, wayStart[wy], len(payload))
-		}
-	}
-	var errs [PDWs * SymbolsPerWay / DefaultGapK]error
-	var wg sync.WaitGroup
-	for wy := 0; wy < PDWs; wy++ {
-		way := payload[wayStart[wy]:]
-		lo, _ := waySpan(wy)
-		for s := 0; s < segs; s++ {
-			wg.Add(1)
-			go func(wy, s int) {
-				defer wg.Done()
-				var r compress.BitReader
-				r.Reset(way)
-				if s > 0 {
-					r.SkipBits(int(gaps[wy*MaxGapsPerWay+s-1]))
-				}
-				err := t.decodeSpan(&r, lo+s*gapK, lo+(s+1)*gapK, skipStart, skipLen, &syms)
-				if err != nil {
-					errs[wy*segs+s] = fmt.Errorf("e2mc: way %d: %w", wy, err)
-				}
-			}(wy, s)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return syms, err
-		}
-	}
-	return syms, nil
-}
-
 // payloadBytes returns the byte size of the encoded ways after the header.
 func payloadBytes(wayBits [PDWs]int) int {
 	n := 0
@@ -230,59 +213,37 @@ func payloadBytes(wayBits [PDWs]int) int {
 // sums the per-symbol code lengths before compressing (paper §III-C).
 func (c *Codec) CompressedBits(block []byte) int {
 	syms := compress.Symbols(block)
-	var wayBits [PDWs]int
-	for wy := 0; wy < PDWs; wy++ {
-		lo, hi := waySpan(wy)
-		for i := lo; i < hi; i++ {
-			wayBits[wy] += c.tab.SymbolBits(syms[i])
-		}
-	}
-	bits := HeaderBits + payloadBytes(wayBits)*8
+	bits := HeaderBits + payloadBytes(c.tab.WayBits(&syms, 0, 0))*8
 	if bits >= compress.BlockBits {
 		return compress.BlockBits
 	}
 	return bits
 }
 
-// Compress implements compress.Codec. Blocks that do not compress below the
-// uncompressed size are stored raw with no header.
+// Compress implements compress.Codec. The block is sized first, as in
+// CompressedBits; blocks that do not compress below the uncompressed size
+// are stored raw with no header, and the rest are written header and ways
+// into one writer sized to fit.
 func (c *Codec) Compress(block []byte) compress.Encoded {
-	e, _ := c.CompressWithGaps(block)
-	return e
-}
-
-// CompressWithGaps compresses the block and also returns the sideband gap
-// array for DecompressParallel. The gap array is index metadata beside the
-// payload; it is never counted in Encoded.Bits, so compression figures are
-// unchanged. Raw-stored blocks return a zero gap array.
-func (c *Codec) CompressWithGaps(block []byte) (compress.Encoded, GapArray) {
 	if err := compress.CheckBlock(block); err != nil {
 		panic(err)
 	}
 	syms := compress.Symbols(block)
-	ways, wayBits, gaps := c.tab.EncodeWays(syms, 0, 0)
-	total := HeaderBits/8 + payloadBytes(wayBits)
-	if total*8 >= compress.BlockBits {
+	wayBits := c.tab.WayBits(&syms, 0, 0)
+	bits := HeaderBits + payloadBytes(wayBits)*8
+	if bits >= compress.BlockBits {
 		p := make([]byte, compress.BlockSize)
 		copy(p, block)
-		return compress.Encoded{Bits: compress.BlockBits, Payload: p}, GapArray{}
+		return compress.Encoded{Bits: compress.BlockBits, Payload: p}
 	}
-	w := compress.NewBitWriter(total * 8)
-	off := HeaderBits / 8
-	var starts [PDWs]int
-	for wy := 0; wy < PDWs; wy++ {
-		starts[wy] = off
-		off += len(ways[wy])
-	}
-	for wy := 1; wy < PDWs; wy++ {
-		w.WriteBits(uint64(starts[wy]), pdpBits)
-	}
+	w := compress.NewBitWriter(bits)
+	WritePointers(w, HeaderBits/8, wayBits)
 	w.AlignByte()
-	buf := w.Bytes()
-	for wy := 0; wy < PDWs; wy++ {
-		buf = append(buf, ways[wy]...)
+	c.tab.WriteWays(w, &syms, 0, 0)
+	if w.Len() != bits {
+		panic(fmt.Sprintf("e2mc: emitted %d bits, sized %d", w.Len(), bits))
 	}
-	return compress.Encoded{Bits: total * 8, Payload: buf}, gaps
+	return compress.Encoded{Bits: bits, Payload: w.Bytes()}
 }
 
 // parseHeader reads the parallel decoding pointers of a compressed block.
@@ -320,32 +281,6 @@ func (c *Codec) Decompress(e compress.Encoded, dst []byte) error {
 		return nil
 	}
 	syms, err := c.tab.DecodeWays(e.Payload, starts, 0, 0)
-	if err != nil {
-		return err
-	}
-	compress.PutSymbols(dst, syms)
-	return nil
-}
-
-// DecompressParallel decompresses a block produced by CompressWithGaps,
-// fanning the gap-array chunks across goroutines. The output is
-// bitwise-identical to Decompress on the same block.
-func (c *Codec) DecompressParallel(e compress.Encoded, gaps *GapArray, dst []byte) error {
-	if len(dst) < compress.BlockSize {
-		return fmt.Errorf("e2mc: dst too small (%d bytes)", len(dst))
-	}
-	starts, raw, err := parseHeader(e)
-	if err != nil {
-		return err
-	}
-	if raw {
-		if len(e.Payload) < compress.BlockSize {
-			return fmt.Errorf("e2mc: raw payload too short")
-		}
-		copy(dst, e.Payload[:compress.BlockSize])
-		return nil
-	}
-	syms, err := c.tab.DecodeWaysParallel(e.Payload, starts, 0, 0, gaps)
 	if err != nil {
 		return err
 	}

@@ -83,27 +83,40 @@ func TestTableUnmarshalRejectsCorruption(t *testing.T) {
 		// cosmetics — these bytes arrive over the network via slcd).
 		"zero maxlen":      mutate(1, 0),
 		"oversized maxlen": mutate(1, 255),
-		// gapK must be one of the supported decode granularities {4, 8, 16}.
-		"bad gapK":  mutate(2, 3),
-		"zero gapK": mutate(2, 0),
 		// Declared entry count inconsistent with the payload length.
-		"huge n": mutate(3, 0xff),
+		"huge n": mutate(5, 0xff),
 	}
 	// Kraft violation: all code lengths 1.
 	bad := append([]byte(nil), data...)
-	for i := 6 + 2*tab.Entries(); i < len(bad); i++ {
+	for i := tableHeaderBytes + 2*tab.Entries(); i < len(bad); i++ {
 		bad[i] = 1
 	}
 	cases["kraft violation"] = bad
 	// Duplicate symbol: entry 1 repeats entry 0's symbol.
 	dup := append([]byte(nil), data...)
-	copy(dup[9:11], dup[7:9])
+	copy(dup[tableHeaderBytes+2:tableHeaderBytes+4], dup[tableHeaderBytes:tableHeaderBytes+2])
 	cases["duplicate symbol"] = dup
 	for name, c := range cases {
 		var got Table
 		if err := got.UnmarshalBinary(c); err == nil {
 			t.Errorf("%s: UnmarshalBinary accepted corrupt record", name)
 		}
+	}
+}
+
+// TestTableUnmarshalRejectsVersion2 pins the version bump that dropped the
+// gap-array interval byte: a well-formed version-2 record (the same table
+// with the byte reinstated) must be rejected, not misparsed, so table caches
+// retrain instead of trusting it.
+func TestTableUnmarshalRejectsVersion2(t *testing.T) {
+	data, err := trainTestTable(t).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte{2, data[1], 4}, data[2:]...)
+	var got Table
+	if err := got.UnmarshalBinary(v2); err == nil {
+		t.Fatal("UnmarshalBinary accepted a version-2 record")
 	}
 }
 
@@ -138,7 +151,7 @@ func FuzzTableUnmarshal(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{2, 15, 4, 0, 0, 0, 1})
+	f.Add([]byte{tableWireVersion, 15, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab Table
 		if err := tab.UnmarshalBinary(data); err != nil {

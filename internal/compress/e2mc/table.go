@@ -36,23 +36,6 @@ const (
 	lutSymbol  = 16     // shift of the decoded symbol value
 )
 
-// Gap-array parameters. EncodeWays records the bit offset of every gapK-th
-// symbol boundary inside each way as a sideband checkpoint, so a parallel
-// decoder can start mid-way without first decoding the preceding symbols.
-// The checkpoints live beside the payload — they model index metadata the
-// memory controller keeps per block and are not counted in compressed bits.
-const (
-	DefaultGapK   = 4                             // symbols per gap segment
-	MaxGapsPerWay = SymbolsPerWay/DefaultGapK - 1 // checkpoints per way at the finest K
-)
-
-// GapArray holds the per-way decode checkpoints of one block: entry
-// w*MaxGapsPerWay+j is the bit offset (within way w's payload) where in-way
-// symbol (j+1)*gapK begins. With gapK > DefaultGapK only the first
-// SymbolsPerWay/gapK-1 entries per way are meaningful. A way encodes at most
-// 16 symbols of ≤ 31 bits, so offsets fit in uint16 with room to spare.
-type GapArray [PDWs * MaxGapsPerWay]uint16
-
 // Trainer accumulates 16-bit symbol statistics from sampled blocks, standing
 // in for E2MC's online sampling phase (the paper samples 20 M instructions).
 type Trainer struct {
@@ -144,7 +127,6 @@ func (t *Trainer) Build(maxSymbols, maxLen int) (*Table, error) {
 		escItem: int32(keep),
 		lenOf:   make([]uint8, 1<<16),
 		itemOf:  make([]int32, 1<<16),
-		gapK:    DefaultGapK,
 	}
 	for i := range tab.itemOf {
 		tab.itemOf[i] = -1
@@ -169,7 +151,6 @@ type Table struct {
 	lenOf   []uint8  // symbol value → code length (0 if escaped)
 	itemOf  []int32  // symbol value → item index (-1 if escaped)
 	lut     []uint32 // 1<<maxLen decode entries; nil when maxLen > lutMaxLen
-	gapK    int      // symbols per gap segment (4, 8 or 16)
 }
 
 // buildLUT fills the decode lookup table: for each codeword, every maxLen-bit
@@ -199,21 +180,6 @@ func (t *Table) buildLUT() {
 		}
 	}
 	t.lut = lut
-}
-
-// GapK returns the gap-array checkpoint interval in symbols.
-func (t *Table) GapK() int { return t.gapK }
-
-// SetGapK changes the checkpoint interval. Coarser intervals shrink the
-// sideband at the cost of less decode parallelism; the interval must divide
-// a way evenly and not exceed MaxGapsPerWay checkpoints.
-func (t *Table) SetGapK(k int) error {
-	switch k {
-	case 4, 8, 16:
-		t.gapK = k
-		return nil
-	}
-	return fmt.Errorf("e2mc: gap interval %d not one of 4, 8, 16", k)
 }
 
 // SymbolBits returns the encoded cost of one symbol in bits: its codeword

@@ -13,21 +13,20 @@ import (
 // Decode benchmarking: how fast does the entropy decoder run on the blocks a
 // workload actually produces? The corpus is sampled from the device image at
 // the same points the online-sampling trainer sees (every region sync), the
-// table is the workload's own trained table, and three decoders run over the
-// identical encoded streams: the LUT fast path, the retained bit-by-bit
-// reference, and the gap-array parallel decoder. CI tracks the resulting
-// ns/block per push via `slcbench -decodebench` (see the trajectory schema).
+// table is the workload's own trained table, and two decoders run over the
+// identical encoded streams: the LUT fast path and the retained bit-by-bit
+// reference. CI tracks the resulting ns/block per push via
+// `slcbench -decodebench` (see the trajectory schema).
 
 // DefaultDecodeCorpusBlocks caps the sampled corpus; a few thousand blocks
 // keep the measurement stable without dominating slcbench runtime.
 const DefaultDecodeCorpusBlocks = 4096
 
 // DecodeItem is one encoded block of a decode corpus: the concatenated way
-// payloads with their byte offsets, plus the sideband gap array.
+// payloads with their byte offsets.
 type DecodeItem struct {
 	Payload []byte
 	Starts  [e2mc.PDWs]int
-	Gaps    e2mc.GapArray
 }
 
 // DecodeCorpus is the decode-benchmark input for one workload.
@@ -86,9 +85,8 @@ func BuildDecodeCorpus(r *Runner, w workloads.Workload, maxBlocks int) (*DecodeC
 	c := &DecodeCorpus{Workload: name, Table: tab}
 	for _, block := range blocks {
 		syms := compress.Symbols(block)
-		ways, _, gaps := tab.EncodeWays(syms, 0, 0)
+		ways, _ := tab.EncodeWays(syms, 0, 0)
 		var it DecodeItem
-		it.Gaps = gaps
 		for wy := 0; wy < e2mc.PDWs; wy++ {
 			it.Starts[wy] = len(it.Payload)
 			it.Payload = append(it.Payload, ways[wy]...)
@@ -106,7 +104,6 @@ type DecodeBench struct {
 	Blocks        int
 	LUTNsPerBlock float64
 	RefNsPerBlock float64
-	ParNsPerBlock float64
 	Speedup       float64
 }
 
@@ -134,7 +131,7 @@ func timeNsPerBlock(items []DecodeItem, fn func(*DecodeItem) error) (float64, er
 	return float64(elapsed.Nanoseconds()) / float64(blocks), nil
 }
 
-// MeasureDecode times the three decoders over one corpus.
+// MeasureDecode times the two decoders over one corpus.
 func MeasureDecode(c *DecodeCorpus) (DecodeBench, error) {
 	b := DecodeBench{Workload: c.Workload, Blocks: len(c.Items)}
 	tab := c.Table
@@ -150,12 +147,6 @@ func MeasureDecode(c *DecodeCorpus) (DecodeBench, error) {
 		return derr
 	}); err != nil {
 		return b, fmt.Errorf("decode bench %s: reference: %w", c.Workload, err)
-	}
-	if b.ParNsPerBlock, err = timeNsPerBlock(c.Items, func(it *DecodeItem) error {
-		_, derr := tab.DecodeWaysParallel(it.Payload, it.Starts, 0, 0, &it.Gaps)
-		return derr
-	}); err != nil {
-		return b, fmt.Errorf("decode bench %s: parallel: %w", c.Workload, err)
 	}
 	if b.LUTNsPerBlock > 0 {
 		b.Speedup = b.RefNsPerBlock / b.LUTNsPerBlock

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/resultstore"
+	"repro/internal/workloads"
 )
 
 // testData builds n blocks of compressible test bytes (the smooth ramps the
@@ -106,50 +110,127 @@ func TestBoundedCodecServingHonoursBound(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeMatchesSerial is the wiring acceptance check: E2MC blocks
-// carry their gap arrays, decode through DecompressParallel, and the result
-// is byte-identical to the serial path (the same blocks with the gap
-// metadata stripped).
-func TestParallelDecodeMatchesSerial(t *testing.T) {
+// TestCoreMatchesCodecEveryCodec is the wiring acceptance check: for every
+// registered codec, Core.Compress emits exactly the blocks the codec's own
+// Compress does, Core.Decompress returns exactly what the codec's own
+// Decompress does, and the compress response JSON carries nothing beyond the
+// encoding (no gap-array sideband).
+func TestCoreMatchesCodecEveryCodec(t *testing.T) {
 	core := newTestCore(0)
 	data := testData(16)
-	cres, err := core.Compress(context.Background(), &CompressRequest{
-		Codec: "e2mc", Profile: "TP", Data: data,
-	})
+	rng := rand.New(rand.NewSource(7))
+	noise := make([]byte, 2*compress.BlockSize) // incompressible: stored raw
+	rng.Read(noise)
+	data = append(data, noise...)
+	tp, err := workloads.ByName("TP")
 	if err != nil {
-		t.Fatalf("compress: %v", err)
+		t.Fatal(err)
 	}
-	withGaps := 0
-	for _, b := range cres.Blocks {
-		if len(b.Gaps) > 0 {
-			withGaps++
-		}
+	for _, name := range compress.Names() {
+		t.Run(name, func(t *testing.T) {
+			info, _ := compress.Lookup(name)
+			req := &CompressRequest{Codec: name, Data: data}
+			var w workloads.Workload
+			if info.NeedsTable {
+				req.Profile, w = "TP", tp
+			}
+			cres, err := core.Compress(context.Background(), req)
+			if err != nil {
+				t.Fatalf("compress: %v", err)
+			}
+			dres, err := core.Decompress(context.Background(), &DecompressRequest{
+				Codec: name, Profile: req.Profile, Blocks: cres.Blocks,
+			})
+			if err != nil {
+				t.Fatalf("decompress: %v", err)
+			}
+			lossless, lossy, err := core.Tables.Codecs(w, name, compress.MAG32, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cod := codecPair{lossless: lossless, lossy: lossy}.active()
+			want := append([]byte(nil), data...)
+			for i, b := range cres.Blocks {
+				raw := data[i*compress.BlockSize : (i+1)*compress.BlockSize]
+				enc := compress.Encoded{Bits: compress.BlockBits, Payload: raw}
+				if cod != nil {
+					enc = cod.Compress(raw)
+					if err := cod.Decompress(enc, want[i*compress.BlockSize:]); err != nil {
+						t.Fatalf("block %d: codec decompress: %v", i, err)
+					}
+				}
+				if b.Bits != enc.Bits || b.Lossy != enc.Lossy || !bytes.Equal(b.Payload, enc.Payload) {
+					t.Fatalf("block %d: Core.Compress (%d bits, lossy %v) differs from the codec's (%d bits, lossy %v)",
+						i, b.Bits, b.Lossy, enc.Bits, enc.Lossy)
+				}
+			}
+			if !bytes.Equal(dres.Data, want) {
+				t.Fatal("Core.Decompress differs from the codec's Decompress")
+			}
+			body, err := json.Marshal(cres)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wire struct {
+				Blocks []map[string]json.RawMessage `json:"blocks"`
+			}
+			if err := json.Unmarshal(body, &wire); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range wire.Blocks {
+				if _, ok := b["gaps"]; ok {
+					t.Fatalf("block %d: compress response carries a gaps key", i)
+				}
+			}
+		})
 	}
-	if withGaps == 0 {
-		t.Fatal("no block carries a gap array; the parallel path is not wired")
-	}
-	parallel, err := core.Decompress(context.Background(), &DecompressRequest{
-		Codec: "e2mc", Profile: "TP", Blocks: cres.Blocks,
-	})
+}
+
+// TestTableCacheRetrainsOnVersion2Record pins the table wire-format bump: a
+// version-2 record (with the dropped gap-array interval byte) already in the
+// store is undecodable, so the cache retrains instead of serving it, and
+// overwrites it with a current record.
+func TestTableCacheRetrainsOnVersion2Record(t *testing.T) {
+	st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
 	if err != nil {
-		t.Fatalf("parallel decompress: %v", err)
+		t.Fatal(err)
 	}
-	serialBlocks := make([]Block, len(cres.Blocks))
-	copy(serialBlocks, cres.Blocks)
-	for i := range serialBlocks {
-		serialBlocks[i].Gaps = nil
-	}
-	serial, err := core.Decompress(context.Background(), &DecompressRequest{
-		Codec: "e2mc", Profile: "TP", Blocks: serialBlocks,
-	})
+	tp, err := workloads.ByName("TP")
 	if err != nil {
-		t.Fatalf("serial decompress: %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(parallel.Data, serial.Data) {
-		t.Fatal("parallel decode differs from serial decode")
+	var fresh TableCache
+	tab, err := fresh.Table(tp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(parallel.Data, data) {
-		t.Fatal("decode differs from the original data")
+	cur, err := tab.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte{2, cur[1], 4}, cur[2:]...)
+	key, err := st.Key(kindTable, tableMaterial(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutBytes(key, kindTable, "bin", v2); err != nil {
+		t.Fatal(err)
+	}
+
+	core := newTestCore(0)
+	core.SetStore(st)
+	if _, err := core.Tables.Table(tp); err != nil {
+		t.Fatal(err)
+	}
+	if s := core.Tables.Stats(); s.Retrains != 1 || s.DiskHits != 0 {
+		t.Fatalf("version-2 record: retrains %d, disk hits %d; want 1 and 0", s.Retrains, s.DiskHits)
+	}
+	got, hit, err := st.GetBytes(key)
+	if err != nil || !hit {
+		t.Fatalf("rewritten record: hit %v, err %v", hit, err)
+	}
+	if !bytes.Equal(got, cur) {
+		t.Fatal("retrain did not overwrite the version-2 record with the current one")
 	}
 }
 
@@ -579,5 +660,34 @@ func TestForBlocksReportsLowestIndex(t *testing.T) {
 	})
 	if err == nil || err.Error() != "block 1 failed" {
 		t.Fatalf("got %v, want the lowest-index failure (block 1)", err)
+	}
+}
+
+// TestForBlocksStopsMidBatch pins the per-block ctx check: once a block
+// has cancelled the request, each other worker runs at most the one block
+// it had already checked ctx for, and the batch reports the cancellation
+// rather than a partial success.
+func TestForBlocksStopsMidBatch(t *testing.T) {
+	const workers = 4
+	core := NewCore(Config{Workers: workers, MaxInFlight: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran, late atomic.Int64
+	var cancelled atomic.Bool
+	err := core.forBlocks(ctx, 1<<16, func(i int) error {
+		if cancelled.Load() {
+			late.Add(1)
+		}
+		if ran.Add(1) == 8 {
+			cancel()
+			cancelled.Store(true)
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if n := late.Load(); n > workers-1 {
+		t.Fatalf("%d blocks started after the cancel returned, want at most %d", n, workers-1)
 	}
 }

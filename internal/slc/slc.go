@@ -316,9 +316,10 @@ func (c *Codec) SyncBlock(block []byte) (int, bool) {
 	return d.StoredBits, true
 }
 
-// emit encodes the block with the given skip span and builds the header.
+// emit encodes the block with the given skip span into one writer sized to
+// the decision: header first (its way pointers come from the per-way sizes),
+// then the ways.
 func (c *Codec) emit(syms *[compress.SymbolsPerBlock]uint16, skipStart, skipLen int, d Decision) compress.Encoded {
-	ways, _, _ := c.tab.EncodeWays(*syms, skipStart, skipLen)
 	w := compress.NewBitWriter(d.StoredBits)
 	w.WriteBool(skipLen > 0) // m
 	if skipLen > 0 {
@@ -327,25 +328,13 @@ func (c *Codec) emit(syms *[compress.SymbolsPerBlock]uint16, skipStart, skipLen 
 	} else {
 		w.WriteBits(0, ssBits+lenBits)
 	}
-	off := HeaderBits / 8
-	var starts [e2mc.PDWs]int
-	for wy := 0; wy < e2mc.PDWs; wy++ {
-		starts[wy] = off
-		off += len(ways[wy])
-	}
-	for wy := 1; wy < e2mc.PDWs; wy++ {
-		w.WriteBits(uint64(starts[wy]), pdpBits)
-	}
+	e2mc.WritePointers(w, HeaderBits/8, c.tab.WayBits(syms, skipStart, skipLen))
 	w.AlignByte()
-	buf := w.Bytes()
-	for wy := 0; wy < e2mc.PDWs; wy++ {
-		buf = append(buf, ways[wy]...)
+	c.tab.WriteWays(w, syms, skipStart, skipLen)
+	if w.Len() != d.StoredBits {
+		panic(fmt.Sprintf("slc: emitted %d bits, decision predicted %d", w.Len(), d.StoredBits))
 	}
-	bits := len(buf) * 8
-	if bits != d.StoredBits {
-		panic(fmt.Sprintf("slc: emitted %d bits, decision predicted %d", bits, d.StoredBits))
-	}
-	return compress.Encoded{Bits: bits, Payload: buf, Lossy: skipLen > 0}
+	return compress.Encoded{Bits: w.Len(), Payload: w.Bytes(), Lossy: skipLen > 0}
 }
 
 // Decompress implements compress.Codec. Truncated symbols are reconstructed
