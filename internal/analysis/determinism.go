@@ -10,7 +10,8 @@ import (
 
 // Determinism enforces the repository's replay-determinism contract in the
 // packages whose results are asserted bitwise-identical across worker counts
-// (the sharded simulator, the parallel pipeline, the experiment runner):
+// (the sharded simulator, the parallel pipeline, the experiment runner) and
+// in the codecs and SLC stack whose payloads and sizes feed them:
 //
 //   - `range` over a map is flagged when the loop body is order-dependent —
 //     it appends, sends, calls for effect, or writes through anything that
@@ -38,9 +39,12 @@ var Determinism = &Analyzer{
 }
 
 // determinismScope limits the analyzer to the packages under the bitwise
-// determinism contract.
+// determinism contract. The codecs are in scope because every payload and
+// size they produce feeds those results.
 func determinismScope(path string) bool {
 	return strings.HasPrefix(path, "repro/internal/gpu") ||
+		strings.HasPrefix(path, "repro/internal/compress") ||
+		strings.HasPrefix(path, "repro/internal/slc") ||
 		strings.HasPrefix(path, "repro/internal/pipeline") ||
 		strings.HasPrefix(path, "repro/internal/experiments") ||
 		strings.HasPrefix(path, "repro/internal/serving")

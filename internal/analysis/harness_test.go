@@ -204,6 +204,8 @@ func fmtPos(p token.Position) string {
 func TestDeterminismAnalyzer(t *testing.T) {
 	runAnalysisTest(t, []testPkg{
 		{path: "repro/internal/gpu/dettest", dir: "testdata/determinism/det"},
+		{path: "repro/internal/compress/bdi/dettest", dir: "testdata/determinism/codec"},
+		{path: "repro/internal/slc/dettest", dir: "testdata/determinism/lossy"},
 	})
 }
 

@@ -41,7 +41,9 @@ type geometry struct {
 	delta int // delta size in bytes
 }
 
-var geometries = map[encoding]geometry{
+// geometries holds the base/delta split of each base-delta encoding,
+// indexed by encoding; the non-geometry encodings keep the zero value.
+var geometries = [numEncodings]geometry{
 	encB8D1: {8, 1},
 	encB8D2: {8, 2},
 	encB8D4: {8, 4},
@@ -70,6 +72,8 @@ func (Codec) Name() string { return "BDI" }
 
 // compressedBits returns the total encoded size of a geometry for one block:
 // selector + base + per-element mask + per-element delta.
+//
+//slclint:allocfree
 func (g geometry) compressedBits() int {
 	n := compress.BlockSize / g.base
 	return headerBits + g.base*8 + n + n*g.delta*8
@@ -77,52 +81,69 @@ func (g geometry) compressedBits() int {
 
 // fits reports whether v, interpreted as a signed two's-complement value,
 // fits in `bytes` bytes.
+//
+//slclint:allocfree
 func fits(v uint64, bytes int) bool {
 	s := int64(v)
 	lim := int64(1) << uint(bytes*8-1)
 	return s >= -lim && s < lim
 }
 
-// elements splits the block into n unsigned values of size bytes.
-func elements(block []byte, size int) []uint64 {
-	n := compress.BlockSize / size
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		switch size {
-		case 2:
-			out[i] = uint64(binary.LittleEndian.Uint16(block[i*2:]))
-		case 4:
-			out[i] = uint64(binary.LittleEndian.Uint32(block[i*4:]))
-		case 8:
-			out[i] = binary.LittleEndian.Uint64(block[i*8:])
-		default:
-			panic("bdi: bad element size")
-		}
+// maxElements is the element count of the finest geometry (2-byte base).
+const maxElements = compress.BlockSize / 2
+
+// element reads the i-th size-byte little-endian element of the block.
+//
+//slclint:allocfree
+func element(block []byte, i, size int) uint64 {
+	switch size {
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(block[i*2:]))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(block[i*4:]))
+	case 8:
+		return binary.LittleEndian.Uint64(block[i*8:])
 	}
-	return out
+	panic("bdi: bad element size")
 }
 
 // signExtend interprets the low `bytes` bytes of v as signed and widens to 64
 // bits.
+//
+//slclint:allocfree
 func signExtend(v uint64, bytes int) uint64 {
 	shift := uint(64 - bytes*8)
 	return uint64(int64(v<<shift) >> shift)
 }
 
-// tryGeometry attempts one base/delta encoding. It returns the chosen base
-// and per-element (useZeroBase, delta) assignments, or ok=false if some
-// element fits neither base. Differences are taken modulo the element width,
-// matching a hardware subtractor of that width.
-func tryGeometry(block []byte, g geometry) (base uint64, mask []bool, deltas []uint64, ok bool) {
-	elems := elements(block, g.base)
-	mask = make([]bool, len(elems))
-	deltas = make([]uint64, len(elems))
+// assignment is one geometry's encoding of a block: the arbitrary base and
+// each element's (useZeroBase, delta) pair.
+type assignment struct {
+	base   uint64
+	mask   [maxElements]bool
+	deltas [maxElements]uint64
+}
+
+// tryGeometry reports whether one base/delta encoding covers the block:
+// every element must fit as a delta from either the implicit zero base or
+// the first element the zero base does not cover. Differences are taken
+// modulo the element width, matching a hardware subtractor of that width.
+// When a is non-nil the encoding is recorded there; sizing a block passes
+// nil and only reads the elements in place.
+//
+//slclint:allocfree
+func tryGeometry(block []byte, g geometry, a *assignment) bool {
+	n := compress.BlockSize / g.base
 	elemMask := ^uint64(0) >> uint(64-g.base*8)
+	var base uint64
 	haveBase := false
-	for i, e := range elems {
+	for i := 0; i < n; i++ {
+		e := element(block, i, g.base)
 		if es := signExtend(e, g.base); fits(es, g.delta) {
-			mask[i] = true // covered by the implicit zero base
-			deltas[i] = es
+			if a != nil {
+				a.mask[i] = true // covered by the implicit zero base
+				a.deltas[i] = es
+			}
 			continue
 		}
 		if !haveBase {
@@ -131,52 +152,52 @@ func tryGeometry(block []byte, g geometry) (base uint64, mask []bool, deltas []u
 		}
 		d := signExtend((e-base)&elemMask, g.base)
 		if !fits(d, g.delta) {
-			return 0, nil, nil, false
+			return false
 		}
-		deltas[i] = d
+		if a != nil {
+			a.mask[i] = false
+			a.deltas[i] = d
+		}
 	}
-	return base, mask, deltas, true
+	if a != nil {
+		a.base = base
+	}
+	return true
 }
 
-// analyze picks the smallest encoding that covers the block.
+// analyze picks the smallest encoding that covers the block. Geometries are
+// tried in encoding order and only a strictly smaller one replaces the
+// current best, so on a size tie the lowest encoding wins.
+//
+//slclint:allocfree
 func analyze(block []byte) (encoding, int) {
-	words := compress.Words(block)
-	allZero := true
-	for _, w := range words {
-		if w != 0 {
-			allZero = false
-			break
-		}
+	first := binary.LittleEndian.Uint64(block)
+	allZero, rep := first == 0, true
+	for i := 8; i < compress.BlockSize; i += 8 {
+		v := binary.LittleEndian.Uint64(block[i:])
+		allZero = allZero && v == 0
+		rep = rep && v == first
 	}
 	if allZero {
 		return encZeros, headerBits
-	}
-
-	first := binary.LittleEndian.Uint64(block)
-	rep := true
-	for i := 8; i < compress.BlockSize; i += 8 {
-		if binary.LittleEndian.Uint64(block[i:]) != first {
-			rep = false
-			break
-		}
 	}
 	best, bestBits := encUncompressed, compress.BlockBits
 	if rep {
 		best, bestBits = encRep8, headerBits+64
 	}
-	for enc, g := range geometries {
-		bits := g.compressedBits()
-		if bits >= bestBits {
-			continue
-		}
-		if _, _, _, ok := tryGeometry(block, g); ok {
+	for enc := encB8D1; enc < numEncodings; enc++ {
+		g := geometries[enc]
+		if bits := g.compressedBits(); bits < bestBits && tryGeometry(block, g, nil) {
 			best, bestBits = enc, bits
 		}
 	}
 	return best, bestBits
 }
 
-// CompressedBits implements compress.SizeOnly.
+// CompressedBits implements compress.SizeOnly; it sizes the block without
+// encoding it.
+//
+//slclint:allocfree
 func (Codec) CompressedBits(block []byte) int {
 	_, bits := analyze(block)
 	return bits
@@ -202,15 +223,16 @@ func (c Codec) Compress(block []byte) compress.Encoded {
 		w.WriteBits(binary.LittleEndian.Uint64(block), 64)
 	default:
 		g := geometries[enc]
-		base, mask, deltas, ok := tryGeometry(block, g)
-		if !ok {
+		var a assignment
+		if !tryGeometry(block, g, &a) {
 			panic("bdi: analyze/compress disagreement")
 		}
-		w.WriteBits(base, g.base*8)
-		for _, m := range mask {
+		n := compress.BlockSize / g.base
+		w.WriteBits(a.base, g.base*8)
+		for _, m := range a.mask[:n] {
 			w.WriteBool(m)
 		}
-		for _, d := range deltas {
+		for _, d := range a.deltas[:n] {
 			w.WriteBits(d, g.delta*8)
 		}
 	}
@@ -256,17 +278,17 @@ func (c Codec) Decompress(e compress.Encoded, dst []byte) error {
 		}
 		return nil
 	}
-	g, ok := geometries[enc]
-	if !ok {
+	if enc < encB8D1 || enc >= numEncodings {
 		return fmt.Errorf("bdi: unknown encoding %d", enc)
 	}
+	g := geometries[enc]
 	base, err := r.ReadBits(g.base * 8)
 	if err != nil {
 		return fmt.Errorf("bdi: base: %w", err)
 	}
 	n := compress.BlockSize / g.base
-	mask := make([]bool, n)
-	for i := range mask {
+	var mask [maxElements]bool
+	for i := range mask[:n] {
 		mask[i], err = r.ReadBool()
 		if err != nil {
 			return fmt.Errorf("bdi: mask bit %d: %w", i, err)

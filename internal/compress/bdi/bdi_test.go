@@ -123,6 +123,36 @@ func TestCompressedBitsMatchesCompress(t *testing.T) {
 	}
 }
 
+// tieBlock fits both 596-bit geometries, base8-delta4 and base2-delta1, and
+// no smaller encoding: its 64-bit elements differ by up to 0x3FFF<<16, and
+// its 16-bit halves are either small or the repeated 0x4000.
+func tieBlock() []byte {
+	block := make([]byte, compress.BlockSize)
+	high := []uint64{1, 0, 0x4000}
+	for i := 0; i < 16; i++ {
+		v := 0x40004000_00000000 | high[i%len(high)]<<16 | uint64(i*5)
+		binary.LittleEndian.PutUint64(block[i*8:], v)
+	}
+	return block
+}
+
+func TestCompressDeterministicOnTies(t *testing.T) {
+	block := tieBlock()
+	if got := EncodingName(block); got != "base8-delta4" {
+		t.Fatalf("tie block encoding = %s, want base8-delta4 (lowest encoding wins a tie)", got)
+	}
+	var c Codec
+	first := roundTrip(t, block)
+	if first.Bits != 596 {
+		t.Fatalf("tie block bits = %d, want 596", first.Bits)
+	}
+	for i := 0; i < 200; i++ {
+		if enc := c.Compress(block); !bytes.Equal(enc.Payload, first.Payload) {
+			t.Fatalf("call %d: payload differs from the first call", i)
+		}
+	}
+}
+
 // structuredBlock produces blocks with varied compressibility profiles.
 func structuredBlock(rng *rand.Rand) []byte {
 	block := make([]byte, compress.BlockSize)

@@ -15,6 +15,7 @@ package bpc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/compress"
 )
@@ -31,52 +32,64 @@ const (
 	planes = 33                     // 32 delta bits + sign plane
 )
 
-// transform produces the base word and the DBX planes.
+// transpose32 transposes a 32×32 bit matrix in place: bit j of row i
+// moves to bit i of row j. It is the block-swap transpose of Hacker's
+// Delight §7-3: five rounds, each swapping the off-diagonal j×j sub-blocks
+// of every 2j×2j block with one shift-xor-mask per pair of rows.
+//
+//slclint:allocfree
+func transpose32(a *[32]uint32) {
+	m := uint32(0x0000FFFF)
+	for j := 16; j != 0; j, m = j>>1, m^m<<(j>>1) {
+		for k := 0; k < 32; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k+j] ^= t
+			a[k] ^= t << j
+		}
+	}
+}
+
+// transform produces the base word and the DBX planes. The deltas are
+// 33-bit signed values; their low 32 bits are the wrapped word differences,
+// transposed as a bit matrix into planes 0..31, and the sign plane (plane
+// 32) collects bit 32, set exactly when the delta is negative.
+//
+//slclint:allocfree
 func transform(w [words]uint32) (base uint32, dbx [planes]uint64) {
 	base = w[0]
-	// Sign-extended 33-bit deltas.
-	var d [deltas]int64
+	var dbp [32]uint32 // row i: delta i, then plane i after the transpose
+	var sign uint64
 	for i := 0; i < deltas; i++ {
-		d[i] = int64(int32(w[i+1])) - int64(int32(w[i]))
-	}
-	// DBP: bit-plane transpose. Plane p (0..32) collects bit p of every
-	// delta; plane 32 is the sign plane.
-	var dbp [planes]uint64
-	for p := 0; p < planes; p++ {
-		var row uint64
-		for i := 0; i < deltas; i++ {
-			row |= (uint64(d[i]>>uint(p)) & 1) << uint(i)
+		dbp[i] = w[i+1] - w[i]
+		if int32(w[i+1]) < int32(w[i]) {
+			sign |= 1 << uint(i)
 		}
-		dbp[p] = row
 	}
-	// DBX: XOR adjacent planes (plane 32 kept as-is as the reference).
-	dbx[planes-1] = dbp[planes-1]
+	transpose32(&dbp)
+	// DBX: XOR adjacent planes (the sign plane kept as-is as the reference).
+	dbx[planes-1] = sign
+	prev := sign
 	for p := planes - 2; p >= 0; p-- {
-		dbx[p] = dbp[p] ^ dbp[p+1]
+		dbx[p] = uint64(dbp[p]) ^ prev
+		prev = uint64(dbp[p])
 	}
 	return base, dbx
 }
 
-// inverse reverses transform.
+// inverse reverses transform. Only the low 32 delta bits matter: adding
+// them modulo 2^32 restores each word, so the sign plane is not read.
 func inverse(base uint32, dbx [planes]uint64) [words]uint32 {
-	var dbp [planes]uint64
-	dbp[planes-1] = dbx[planes-1]
+	var d [32]uint32 // row p: plane p, then delta p after the transpose
+	dbp := dbx[planes-1]
 	for p := planes - 2; p >= 0; p-- {
-		dbp[p] = dbx[p] ^ dbp[p+1]
+		dbp ^= dbx[p]
+		d[p] = uint32(dbp)
 	}
-	var d [deltas]int64
-	for i := 0; i < deltas; i++ {
-		var v uint64
-		for p := 0; p < planes; p++ {
-			v |= (dbp[p] >> uint(i) & 1) << uint(p)
-		}
-		// Sign-extend from 33 bits.
-		d[i] = int64(v<<31) >> 31
-	}
+	transpose32(&d)
 	var w [words]uint32
 	w[0] = base
 	for i := 0; i < deltas; i++ {
-		w[i+1] = uint32(int64(int32(w[i])) + d[i])
+		w[i+1] = w[i] + d[i]
 	}
 	return w
 }
@@ -94,63 +107,105 @@ const (
 	cRaw     = 0b00011 // 5 + 31 bits raw plane
 )
 
-// encodePlane writes one plane (or a zero-run) and returns how many planes
-// it consumed.
-func encodePlanes(w *compress.BitWriter, dbx []uint64, i int) int {
+// planeMask covers the 31 delta bits of a plane.
+const planeMask = uint64(1)<<deltas - 1
+
+// record kinds: the plane code chosen for the planes at one position.
+const (
+	kZeroRun = iota
+	kZero
+	kAllOnes
+	kOneBit
+	kTwoBits
+	kRaw
+)
+
+// recordBits is the encoded size of each record kind.
+var recordBits = [...]int{
+	kZeroRun: 2 + 5,
+	kZero:    1,
+	kAllOnes: 5,
+	kOneBit:  5 + 5,
+	kTwoBits: 5 + 10,
+	kRaw:     5 + deltas,
+}
+
+// planeRecord classifies the record that encodes dbx[i:] and returns its
+// kind and how many planes it consumes. encodePlanes and encodedBits both
+// classify through it, so the written stream and the computed size agree.
+//
+//slclint:allocfree
+func planeRecord(dbx *[planes]uint64, i int) (kind, n int) {
 	p := dbx[i]
 	if p == 0 {
 		run := 1
-		for i+run < len(dbx) && dbx[i+run] == 0 && run < 33 {
+		for i+run < planes && dbx[i+run] == 0 && run < 33 {
 			run++
 		}
 		if run >= 2 {
-			w.WriteBits(cZeroRun, 2)
-			w.WriteBits(uint64(run-2), 5)
-			return run
+			return kZeroRun, run
 		}
-		w.WriteBits(cZero, 1)
-		return 1
+		return kZero, 1
 	}
-	mask := uint64(1)<<deltas - 1
 	switch {
-	case p == mask:
+	case p == planeMask:
+		return kAllOnes, 1
+	case bits.OnesCount64(p) == 1:
+		return kOneBit, 1
+	case bits.OnesCount64(p) == 2:
+		return kTwoBits, 1
+	}
+	return kRaw, 1
+}
+
+// encodePlanes writes the record for dbx[i:] and returns how many planes it
+// consumed.
+func encodePlanes(w *compress.BitWriter, dbx *[planes]uint64, i int) int {
+	p := dbx[i]
+	kind, n := planeRecord(dbx, i)
+	switch kind {
+	case kZeroRun:
+		w.WriteBits(cZeroRun, 2)
+		w.WriteBits(uint64(n-2), 5)
+	case kZero:
+		w.WriteBits(cZero, 1)
+	case kAllOnes:
 		w.WriteBits(cAllOnes, 5)
-	case popcount(p) == 1:
+	case kOneBit:
 		w.WriteBits(cOneBit, 5)
-		w.WriteBits(uint64(trailing(p)), 5)
-	case popcount(p) == 2:
+		w.WriteBits(uint64(bits.TrailingZeros64(p)), 5)
+	case kTwoBits:
 		w.WriteBits(cTwoBits, 5)
-		first := trailing(p)
-		w.WriteBits(uint64(first), 5)
-		w.WriteBits(uint64(trailing(p&^(1<<uint(first)))), 5)
+		w.WriteBits(uint64(bits.TrailingZeros64(p)), 5)
+		w.WriteBits(uint64(bits.TrailingZeros64(p&(p-1))), 5)
 	default:
 		w.WriteBits(cRaw, 5)
 		w.WriteBits(p, deltas)
 	}
-	return 1
+	return n
 }
 
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
+// encodedBits is the size of the stream Compress writes for a transformed
+// block — base word plus plane records — before the raw fallback.
+//
+//slclint:allocfree
+func encodedBits(dbx *[planes]uint64) int {
+	n := 32
+	for i := 0; i < planes; {
+		kind, k := planeRecord(dbx, i)
+		n += recordBits[kind]
+		i += k
 	}
 	return n
 }
 
-func trailing(v uint64) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// CompressedBits implements compress.SizeOnly.
-func (c Codec) CompressedBits(block []byte) int {
-	return c.Compress(block).Bits
+// CompressedBits implements compress.SizeOnly; it sizes the block without
+// encoding it.
+//
+//slclint:allocfree
+func (Codec) CompressedBits(block []byte) int {
+	_, dbx := transform(compress.Words(block))
+	return min(encodedBits(&dbx), compress.BlockBits)
 }
 
 // Compress implements compress.Codec.
@@ -159,17 +214,21 @@ func (c Codec) Compress(block []byte) compress.Encoded {
 		panic(err)
 	}
 	base, dbx := transform(compress.Words(block))
-	w := compress.NewBitWriter(compress.BlockBits)
-	w.WriteBits(uint64(base), 32)
-	for i := 0; i < planes; {
-		i += encodePlanes(w, dbx[:], i)
-	}
-	if w.Len() >= compress.BlockBits {
+	size := encodedBits(&dbx)
+	if size >= compress.BlockBits {
 		p := make([]byte, compress.BlockSize)
 		copy(p, block)
 		return compress.Encoded{Bits: compress.BlockBits, Payload: p}
 	}
-	return compress.Encoded{Bits: w.Len(), Payload: w.Bytes()}
+	w := compress.NewBitWriter(size)
+	w.WriteBits(uint64(base), 32)
+	for i := 0; i < planes; {
+		i += encodePlanes(w, &dbx, i)
+	}
+	if w.Len() != size {
+		panic(fmt.Sprintf("bpc: emitted %d bits, expected %d", w.Len(), size))
+	}
+	return compress.Encoded{Bits: size, Payload: w.Bytes()}
 }
 
 // Decompress implements compress.Codec.
@@ -235,10 +294,9 @@ func decodePlane(r *compress.BitReader, dbx []uint64, i int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	mask := uint64(1)<<deltas - 1
 	switch code := rest; code {
 	case cAllOnes & 0b111:
-		dbx[i] = mask
+		dbx[i] = planeMask
 	case cOneBit & 0b111:
 		idx, err := r.ReadBits(5)
 		if err != nil {

@@ -40,6 +40,144 @@ func TestTransformInverse(t *testing.T) {
 	}
 }
 
+// transformRef is the bit-at-a-time transform the bit-matrix transpose
+// replaced, kept as the oracle: sign-extended 33-bit deltas, plane p
+// collecting bit p of every delta, adjacent planes XORed.
+func transformRef(w [words]uint32) (base uint32, dbx [planes]uint64) {
+	base = w[0]
+	var d [deltas]int64
+	for i := 0; i < deltas; i++ {
+		d[i] = int64(int32(w[i+1])) - int64(int32(w[i]))
+	}
+	var dbp [planes]uint64
+	for p := 0; p < planes; p++ {
+		var row uint64
+		for i := 0; i < deltas; i++ {
+			row |= (uint64(d[i]>>uint(p)) & 1) << uint(i)
+		}
+		dbp[p] = row
+	}
+	dbx[planes-1] = dbp[planes-1]
+	for p := planes - 2; p >= 0; p-- {
+		dbx[p] = dbp[p] ^ dbp[p+1]
+	}
+	return base, dbx
+}
+
+// inverseRef is the bit-at-a-time inverse of transformRef.
+func inverseRef(base uint32, dbx [planes]uint64) [words]uint32 {
+	var dbp [planes]uint64
+	dbp[planes-1] = dbx[planes-1]
+	for p := planes - 2; p >= 0; p-- {
+		dbp[p] = dbx[p] ^ dbp[p+1]
+	}
+	var w [words]uint32
+	w[0] = base
+	for i := 0; i < deltas; i++ {
+		var v uint64
+		for p := 0; p < planes; p++ {
+			v |= (dbp[p] >> uint(i) & 1) << uint(p)
+		}
+		d := int64(v<<31) >> 31 // sign-extend from 33 bits
+		w[i+1] = uint32(int64(int32(w[i])) + d)
+	}
+	return w
+}
+
+// oracleWordSets are structured inputs for the transform oracle: the
+// degenerate matrices, every single set bit, ±1 steps and the int32
+// extremes whose deltas need all 33 bits.
+func oracleWordSets() [][words]uint32 {
+	var sets [][words]uint32
+	fill := func(f func(i int) uint32) {
+		var w [words]uint32
+		for i := range w {
+			w[i] = f(i)
+		}
+		sets = append(sets, w)
+	}
+	fill(func(int) uint32 { return 0 })
+	fill(func(int) uint32 { return math.MaxUint32 })
+	for b := 0; b < 32; b++ {
+		fill(func(i int) uint32 { return uint32(i%2) << uint(b) })
+		for at := 0; at < words; at += 7 {
+			fill(func(i int) uint32 {
+				if i == at {
+					return 1 << uint(b)
+				}
+				return 0
+			})
+		}
+	}
+	fill(func(i int) uint32 { return uint32(i) })
+	fill(func(i int) uint32 { return uint32(-i) })
+	fill(func(i int) uint32 { return uint32(i % 2) })
+	fill(func(i int) uint32 { return 1000 - uint32(i%3) })
+	extremes := []int32{math.MinInt32, math.MaxInt32, 0, -1, 1}
+	for _, a := range extremes {
+		for _, b := range extremes {
+			fill(func(i int) uint32 {
+				if i%2 == 0 {
+					return uint32(a)
+				}
+				return uint32(b)
+			})
+		}
+	}
+	return sets
+}
+
+func TestTransformMatchesBitLoop(t *testing.T) {
+	sets := oracleWordSets()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		var w [words]uint32
+		for i := range w {
+			switch trial % 3 {
+			case 0:
+				w[i] = rng.Uint32()
+			case 1: // small deltas around a random start
+				w[i] = uint32(rng.Intn(64)) - 32
+				if i > 0 {
+					w[i] += w[i-1]
+				}
+			case 2: // sparse
+				if rng.Intn(4) == 0 {
+					w[i] = rng.Uint32()
+				}
+			}
+		}
+		sets = append(sets, w)
+	}
+	for n, w := range sets {
+		base, dbx := transform(w)
+		rbase, rdbx := transformRef(w)
+		if base != rbase || dbx != rdbx {
+			t.Fatalf("set %d (%x): transform differs from the bit-loop oracle\n got %x\nwant %x", n, w, dbx, rdbx)
+		}
+		if got, want := inverse(base, dbx), inverseRef(base, dbx); got != want || got != w {
+			t.Fatalf("set %d: inverse %x, oracle %x, want %x", n, got, want, w)
+		}
+	}
+}
+
+func TestInverseMatchesBitLoopOnAnyPlanes(t *testing.T) {
+	// The decoder feeds inverse whatever planes a payload encodes, not
+	// only transform outputs: any 31-bit planes must reconstruct the same
+	// words as the oracle.
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 500; trial++ {
+		var dbx [planes]uint64
+		for p := range dbx {
+			dbx[p] = rng.Uint64() & planeMask
+		}
+		base := rng.Uint32()
+		if got, want := inverse(base, dbx), inverseRef(base, dbx); got != want {
+			t.Fatalf("trial %d: inverse %x, oracle %x", trial, got, want)
+		}
+	}
+}
+
 func TestZeroBlock(t *testing.T) {
 	block := make([]byte, compress.BlockSize)
 	enc := roundTrip(t, block)

@@ -48,41 +48,52 @@ func benchBlocks(n int) [][]byte {
 
 // benchTable trains the one small entropy table every table-driven codec
 // in BenchmarkCodecs shares.
-func benchTable(b *testing.B) *e2mc.Table {
+func benchTable(tb testing.TB) *e2mc.Table {
 	tr := e2mc.NewTrainer()
 	for _, blk := range benchBlocks(512) {
 		tr.Sample(blk)
 	}
 	tab, err := tr.Build(0, 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tab
 }
 
+// benchCodec builds one registered codec the way BenchmarkCodecs runs it:
+// MAG32, sharing tab if the codec needs a table.
+func benchCodec(tb testing.TB, name string, tab *e2mc.Table) compress.Codec {
+	tb.Helper()
+	info, _ := compress.Lookup(name)
+	ctx := compress.BuildContext{MAG: compress.MAG32}
+	if info.NeedsTable {
+		ctx.Table = tab
+	}
+	c, err := info.New(ctx)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	return c
+}
+
 // BenchmarkCodecs times every registered codec over the mixed corpus, one
 // block per op (so ns/op is ns/block): Compress, Decompress of the codec's
-// own encodings, and — for codecs implementing compress.Syncer — the
-// pipeline's SyncBlock fast path on a scratch copy of each block. Run one
-// codec with e.g. -bench 'Codecs/e2mc/'.
+// own encodings, and the two paths the pipeline prefers — for codecs
+// implementing compress.SizeOnly, CompressedBits (what every lossless
+// evaluation cell runs), and for codecs implementing compress.Syncer, the
+// SyncBlock fast path on a scratch copy of each block. Every leg reports
+// allocations. Run one codec with e.g. -bench 'Codecs/e2mc/'.
 func BenchmarkCodecs(b *testing.B) {
 	blocks := benchBlocks(256)
 	tab := benchTable(b)
 	for _, name := range compress.Names() {
-		info, _ := compress.Lookup(name)
-		ctx := compress.BuildContext{MAG: compress.MAG32}
-		if info.NeedsTable {
-			ctx.Table = tab
-		}
-		c, err := info.New(ctx)
-		if err != nil {
-			b.Fatalf("%s: %v", name, err)
-		}
+		c := benchCodec(b, name, tab)
 		encs := make([]compress.Encoded, len(blocks))
 		for i, blk := range blocks {
 			encs[i] = c.Compress(blk)
 		}
 		b.Run(name+"/Compress", func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(compress.BlockSize)
 			for i := 0; i < b.N; i++ {
 				c.Compress(blocks[i%len(blocks)])
@@ -90,6 +101,7 @@ func BenchmarkCodecs(b *testing.B) {
 		})
 		b.Run(name+"/Decompress", func(b *testing.B) {
 			dst := make([]byte, compress.BlockSize)
+			b.ReportAllocs()
 			b.SetBytes(compress.BlockSize)
 			for i := 0; i < b.N; i++ {
 				if err := c.Decompress(encs[i%len(encs)], dst); err != nil {
@@ -97,15 +109,48 @@ func BenchmarkCodecs(b *testing.B) {
 				}
 			}
 		})
+		if so, ok := c.(compress.SizeOnly); ok {
+			b.Run(name+"/CompressedBits", func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(compress.BlockSize)
+				for i := 0; i < b.N; i++ {
+					so.CompressedBits(blocks[i%len(blocks)])
+				}
+			})
+		}
 		if s, ok := c.(compress.Syncer); ok {
 			b.Run(name+"/SyncBlock", func(b *testing.B) {
 				scratch := make([]byte, compress.BlockSize)
+				b.ReportAllocs()
 				b.SetBytes(compress.BlockSize)
 				for i := 0; i < b.N; i++ {
 					copy(scratch, blocks[i%len(blocks)])
 					s.SyncBlock(scratch)
 				}
 			})
+		}
+	}
+}
+
+// TestSizeOnlyAllocFree pins every registered SizeOnly codec's
+// CompressedBits to zero allocations over the benchmark corpus: it is the
+// per-block path of every lossless evaluation cell, so it must size a block
+// without encoding it.
+func TestSizeOnlyAllocFree(t *testing.T) {
+	blocks := benchBlocks(64)
+	tab := benchTable(t)
+	for _, name := range compress.Names() {
+		so, ok := benchCodec(t, name, tab).(compress.SizeOnly)
+		if !ok {
+			continue
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, blk := range blocks {
+				so.CompressedBits(blk)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: CompressedBits allocates %.1f objects per %d blocks, want 0", name, allocs, len(blocks))
 		}
 	}
 }

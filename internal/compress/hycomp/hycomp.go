@@ -11,6 +11,7 @@ package hycomp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/compress"
 	"repro/internal/compress/bdi"
@@ -47,36 +48,74 @@ func (c *Codec) Name() string { return "HYCOMP" }
 // classify predicts the block's dominant type with HyComp-style heuristics:
 // pointers share their top bytes as 64-bit elements, floats from one array
 // share sign+exponent bytes, everything else is treated as integer data.
+//
+//slclint:allocfree
 func classify(block []byte) int {
-	// Pointer heuristic: 64-bit elements whose top 4 bytes cluster on a
-	// non-zero base.
-	top := map[uint32]struct{}{}
+	// Pointer heuristic: 64-bit elements whose top 4 bytes cluster on at
+	// most two values, not all zero. Counting stops at the third distinct
+	// value.
+	var top [3]uint32
+	distinct := 0
 	allZeroTop := true
-	for i := 0; i < compress.BlockSize; i += 8 {
+	for i := 0; i < compress.BlockSize && distinct <= 2; i += 8 {
 		t := uint32(binary.LittleEndian.Uint64(block[i:]) >> 32)
-		top[t] = struct{}{}
 		if t != 0 {
 			allZeroTop = false
 		}
+		seen := false
+		for _, u := range top[:distinct] {
+			seen = seen || u == t
+		}
+		if !seen {
+			top[distinct] = t
+			distinct++
+		}
 	}
-	if len(top) <= 2 && !allZeroTop {
+	if distinct <= 2 && !allZeroTop {
 		return tagBDI
 	}
-	// Float heuristic: few distinct sign+exponent bytes across the 32-bit
-	// words.
-	hi := map[byte]struct{}{}
-	for _, w := range compress.Words(block) {
-		hi[byte(w>>24)] = struct{}{}
+	// Float heuristic: few distinct sign+exponent bytes (the top byte of
+	// each little-endian 32-bit word), kept as a 256-bit set.
+	var hi [4]uint64
+	for i := 3; i < compress.BlockSize; i += 4 {
+		b := block[i]
+		hi[b>>6] |= 1 << (b & 63)
 	}
-	if len(hi) <= 6 {
+	n := bits.OnesCount64(hi[0]) + bits.OnesCount64(hi[1]) + bits.OnesCount64(hi[2]) + bits.OnesCount64(hi[3])
+	if n <= 6 {
 		return tagEntropy
 	}
 	return tagFPC
 }
 
-// CompressedBits implements compress.SizeOnly.
+// taggedBits is the stored size of a block whose chosen method encodes it
+// in inner bits. The stored header is byte-aligned (8 bits) so the inner
+// payload stays byte-aligned for re-decoding; when the tagged encoding
+// would not beat the uncompressed block, the block is stored raw.
+//
+//slclint:allocfree
+func taggedBits(inner int) int {
+	if inner+8 >= compress.BlockBits {
+		return compress.BlockBits
+	}
+	return inner + 8
+}
+
+// CompressedBits implements compress.SizeOnly: it classifies the block and
+// asks the chosen method for its size, encoding nothing.
+//
+//slclint:allocfree
 func (c *Codec) CompressedBits(block []byte) int {
-	return c.Compress(block).Bits
+	var inner int
+	switch classify(block) {
+	case tagBDI:
+		inner = c.bdi.CompressedBits(block)
+	case tagFPC:
+		inner = c.fpc.CompressedBits(block)
+	default:
+		inner = c.ent.CompressedBits(block)
+	}
+	return taggedBits(inner)
 }
 
 // Compress implements compress.Codec: classify, dispatch, tag.
@@ -94,18 +133,18 @@ func (c *Codec) Compress(block []byte) compress.Encoded {
 	default:
 		inner = c.ent.Compress(block)
 	}
-	// The stored header is byte-aligned (8 bits) so the inner payload stays
-	// byte-aligned for re-decoding.
-	if inner.Bits+8 >= compress.BlockBits {
+	bits := taggedBits(inner.Bits)
+	if bits == compress.BlockBits {
 		p := make([]byte, compress.BlockSize)
 		copy(p, block)
 		return compress.Encoded{Bits: compress.BlockBits, Payload: p}
 	}
-	w := compress.NewBitWriter(inner.Bits + headerBits)
-	w.WriteBits(uint64(tag), headerBits)
-	w.AlignByte() // keep the inner payload byte-aligned for re-decoding
-	buf := append(w.Bytes(), inner.Payload...)
-	return compress.Encoded{Bits: 8 + inner.Bits, Payload: buf}
+	// One header byte: the tag in its top bits, padded so the inner payload
+	// stays byte-aligned for re-decoding.
+	buf := make([]byte, 1+len(inner.Payload))
+	buf[0] = byte(tag) << (8 - headerBits)
+	copy(buf[1:], inner.Payload)
+	return compress.Encoded{Bits: bits, Payload: buf}
 }
 
 // Decompress implements compress.Codec.

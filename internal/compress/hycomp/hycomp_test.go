@@ -62,6 +62,72 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// classifyRef is the map-based classifier the fixed-size sets replaced,
+// kept as the oracle.
+func classifyRef(block []byte) int {
+	top := map[uint32]struct{}{}
+	allZeroTop := true
+	for i := 0; i < compress.BlockSize; i += 8 {
+		t := uint32(binary.LittleEndian.Uint64(block[i:]) >> 32)
+		top[t] = struct{}{}
+		if t != 0 {
+			allZeroTop = false
+		}
+	}
+	if len(top) <= 2 && !allZeroTop {
+		return tagBDI
+	}
+	hi := map[byte]struct{}{}
+	for _, w := range compress.Words(block) {
+		hi[byte(w>>24)] = struct{}{}
+	}
+	if len(hi) <= 6 {
+		return tagEntropy
+	}
+	return tagFPC
+}
+
+func TestClassifyMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 3000; trial++ {
+		var b []byte
+		switch trial % 6 {
+		case 0:
+			b = floatBlock(rng)
+		case 1:
+			b = pointerBlock(rng)
+		case 2:
+			b = intBlock(rng)
+		case 3:
+			b = make([]byte, compress.BlockSize)
+			rng.Read(b)
+		case 4: // 1..4 distinct top words, zero among them or not
+			b = make([]byte, compress.BlockSize)
+			tops := make([]uint32, 1+rng.Intn(4))
+			for k := range tops {
+				tops[k] = uint32(rng.Intn(2)) * rng.Uint32()
+			}
+			for i := 0; i < compress.BlockSize; i += 8 {
+				v := uint64(tops[rng.Intn(len(tops))])<<32 | uint64(rng.Uint32())
+				binary.LittleEndian.PutUint64(b[i:], v)
+			}
+		case 5: // 4..9 distinct top bytes per word, around the ≤6 boundary
+			b = make([]byte, compress.BlockSize)
+			rng.Read(b)
+			exps := make([]byte, 4+rng.Intn(6))
+			for k := range exps {
+				exps[k] = byte(rng.Intn(256))
+			}
+			for i := 3; i < compress.BlockSize; i += 4 {
+				b[i] = exps[rng.Intn(len(exps))]
+			}
+		}
+		if got, want := classify(b), classifyRef(b); got != want {
+			t.Fatalf("trial %d: classify = %d, map oracle = %d (block %x)", trial, got, want, b)
+		}
+	}
+}
+
 func TestRoundTripAllTypes(t *testing.T) {
 	c := testCodec(t)
 	rng := rand.New(rand.NewSource(2))

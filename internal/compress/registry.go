@@ -114,7 +114,7 @@ func Names() []string {
 	registry.RLock()
 	defer registry.RUnlock()
 	names := make([]string, 0, len(registry.m))
-	for name := range registry.m {
+	for name := range registry.m { //slclint:allow determinism collected names are sorted before return
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	_ "repro/internal/compress/all" // register the Figure 1 codecs
 	"repro/internal/compress/e2mc"
 	"repro/internal/gpu/device"
 	"repro/internal/slc"
@@ -81,8 +82,16 @@ func TestSyncFastPathsMatchCompressPath(t *testing.T) {
 	}
 }
 
+// Fig1Codecs names the lossless codecs of the Figure 1 sweep, each of which
+// TestSyncSerialAllocFree also syncs an exact region through. The source is
+// experiments.Fig1Codecs, but package experiments imports this one, so only
+// the external test package can read it: fig1codecs_test.go copies the
+// names here at init.
+var Fig1Codecs []string
+
 // TestSyncSerialAllocFree pins the per-block serial Sync steady state to zero
-// allocations, for both the lossless (SizeOnly) and the SLC (Syncer) region.
+// allocations, for both the lossless (SizeOnly) and the SLC (Syncer) region,
+// and for an exact region under each Figure 1 codec.
 func TestSyncSerialAllocFree(t *testing.T) {
 	p, rex, rap := newSyncFixture(t, false)
 	// Warm up: first syncs size the block map and apply the initial lossy
@@ -104,6 +113,28 @@ func TestSyncSerialAllocFree(t *testing.T) {
 			blocks := tc.r.Size / compress.BlockSize
 			t.Errorf("%s: Sync steady state allocates %.1f objects per call (%d blocks), want 0",
 				tc.name, allocs, blocks)
+		}
+	}
+
+	if len(Fig1Codecs) == 0 {
+		t.Fatal("Fig1Codecs is empty; fig1codecs_test.go should fill it from experiments.Fig1Codecs")
+	}
+	dev := device.New()
+	r, _ := dev.Malloc("exact", 32*1024, false, 0)
+	fill(t, dev, r, 9)
+	tab := trainTable(t, dev, r)
+	for _, name := range Fig1Codecs {
+		c, err := compress.Build(name, compress.BuildContext{MAG: compress.MAG32, Table: tab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(dev, compress.MAG32, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Sync(r)
+		if allocs := testing.AllocsPerRun(10, func() { p.Sync(r) }); allocs != 0 {
+			t.Errorf("%s lossless region: Sync steady state allocates %.1f objects per call, want 0", name, allocs)
 		}
 	}
 }
