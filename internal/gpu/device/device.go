@@ -212,11 +212,29 @@ func (d *Device) F32View(r Region) F32 { return F32{d: d, r: r} }
 // Len returns the number of float32 elements.
 func (v F32) Len() int { return v.r.Size / 4 }
 
-// At returns element i.
-func (v F32) At(i int) float32 { return v.d.Float32(v.r.Addr + uint64(i)*4) }
+// At returns element i. An index outside the view's region panics, even
+// where the address would still land in a neighbouring allocation.
+func (v F32) At(i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(v.d.mem[v.d.elemIndex(&v.r, i):]))
+}
 
-// Set writes element i.
-func (v F32) Set(i int, x float32) { v.d.SetFloat32(v.r.Addr+uint64(i)*4, x) }
+// Set writes element i, with At's region check.
+func (v F32) Set(i int, x float32) {
+	binary.LittleEndian.PutUint32(v.d.mem[v.d.elemIndex(&v.r, i):], math.Float32bits(x))
+}
+
+// elemIndex returns the memory offset of 4-byte element i of region r,
+// panicking when i lies outside r.
+func (d *Device) elemIndex(r *Region, i int) int {
+	if uint(i) >= uint(r.Size/4) {
+		panic(fmt.Sprintf("device: index %d outside region %q (%d elements)", i, r.Name, r.Size/4))
+	}
+	j, err := d.index(r.Addr+uint64(i)*4, 4)
+	if err != nil {
+		panic(err)
+	}
+	return j
+}
 
 // Addr returns the device address of element i.
 func (v F32) Addr(i int) uint64 { return v.r.Addr + uint64(i)*4 }

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -68,6 +70,43 @@ func TestFloatAccessors(t *testing.T) {
 	}
 	if got := d.Float32(v.Addr(7)); got != 3.25 {
 		t.Errorf("Float32(addr) = %v", got)
+	}
+}
+
+// TestF32ViewPanicsOutsideRegion pins the view's region bound: indexing one
+// past the end (or below zero) panics naming the region, instead of reading
+// or writing the neighbouring allocation that the device-wide check allows.
+func TestF32ViewPanicsOutsideRegion(t *testing.T) {
+	d := New()
+	a, _ := d.Malloc("a", 512, false, 0)
+	b, _ := d.Malloc("b", 512, false, 0)
+	v := d.F32View(a)
+	d.F32View(b).Set(0, 1.5)
+	v.Set(v.Len()-1, 2.5) // last element is in range
+	if got := v.At(v.Len() - 1); got != 2.5 {
+		t.Fatalf("At(Len-1) = %v", got)
+	}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"At(Len)", func() { v.At(v.Len()) }},
+		{"At(-1)", func() { v.At(-1) }},
+		{"Set(Len)", func() { v.Set(v.Len(), 9) }},
+		{"Set(-1)", func() { v.Set(-1, 9) }},
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, `region "a"`) {
+					t.Errorf("%s: panic %q, want one naming region \"a\"", tc.name, msg)
+				}
+			}()
+			tc.op()
+		}()
+	}
+	if got := d.F32View(b).At(0); got != 1.5 {
+		t.Errorf("neighbouring region's first float = %v, want 1.5 (overwritten through a's view)", got)
 	}
 }
 

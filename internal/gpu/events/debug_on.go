@@ -26,7 +26,7 @@ var poisonRec = rec{ev: Event{
 }}
 
 func checkAcquire(r *rec) {
-	if r.fn != nil || r.ev != poisonRec.ev {
+	if r.ev != poisonRec.ev {
 		panic(fmt.Sprintf("events: pooled record written after release: %+v", r.ev))
 	}
 }

@@ -6,46 +6,64 @@ import (
 	"testing"
 )
 
-// pingPong builds a deterministic multi-lane workload on an engine: lane 0
-// broadcasts requests to every other lane with the minimum latency, each
-// lane does local follow-up work and replies, and lane 0 chains the next
-// round off the replies. Every lane appends (time, label) to its own log.
-func pingPong(e *Engine, rounds int, logs [][]string) {
-	coord := e.Lane(0)
-	la := e.Lookahead()
-	var round func(r int)
-	round = func(r int) {
-		if r >= rounds {
+// Ping-pong opcodes (KindTest). ev.A is the round, ev.B the replying lane.
+const (
+	opRound uint8 = iota + 1
+	opReq
+	opWork
+	opReply
+)
+
+// pingPong is a deterministic multi-lane workload: lane 0 broadcasts
+// requests to every other lane with the minimum latency, each lane does
+// local follow-up work and replies, and lane 0 chains the next round off the
+// replies. Every lane appends (time, label) to its own log. There is one
+// pingPong handler per lane, so its state is lane-local.
+type pingPong struct {
+	e       *Engine
+	lane    *Lane
+	rounds  uint32
+	logs    [][]string
+	replies int
+}
+
+func (p *pingPong) HandleEvent(now float64, ev Event) {
+	coord := p.e.Lane(0)
+	la := p.e.Lookahead()
+	r, i := ev.A, ev.B
+	switch ev.Op {
+	case opRound:
+		if r >= p.rounds {
 			return
 		}
-		logs[0] = append(logs[0], fmt.Sprintf("round %d @%g", r, coord.Now()))
-		replies := 0
-		for i := 1; i < e.Lanes(); i++ {
-			l := e.Lane(i)
-			i := i
-			coord.Send(l, coord.Now()+la, func() {
-				logs[i] = append(logs[i], fmt.Sprintf("req %d @%g", r, l.Now()))
-				// Local follow-up inside the lane, below the lookahead.
-				l.At(l.Now()+la/4, func() {
-					logs[i] = append(logs[i], fmt.Sprintf("work %d @%g", r, l.Now()))
-					l.Send(coord, l.Now()+la, func() {
-						logs[0] = append(logs[0], fmt.Sprintf("reply %d/%d @%g", r, i, coord.Now()))
-						replies++
-						if replies == e.Lanes()-1 {
-							coord.At(coord.Now(), func() { round(r + 1) })
-						}
-					})
-				})
-			})
+		p.logs[0] = append(p.logs[0], fmt.Sprintf("round %d @%g", r, now))
+		p.replies = 0
+		for i := 1; i < p.e.Lanes(); i++ {
+			coord.Send(p.e.Lane(i), now+la, Event{Kind: KindTest, Op: opReq, A: r, B: uint32(i)})
+		}
+	case opReq:
+		p.logs[i] = append(p.logs[i], fmt.Sprintf("req %d @%g", r, now))
+		// Local follow-up inside the lane, below the lookahead.
+		p.lane.At(now+la/4, Event{Kind: KindTest, Op: opWork, A: r, B: i})
+	case opWork:
+		p.logs[i] = append(p.logs[i], fmt.Sprintf("work %d @%g", r, now))
+		p.lane.Send(coord, now+la, Event{Kind: KindTest, Op: opReply, A: r, B: i})
+	case opReply:
+		p.logs[0] = append(p.logs[0], fmt.Sprintf("reply %d/%d @%g", r, i, now))
+		p.replies++
+		if p.replies == p.e.Lanes()-1 {
+			coord.At(now, Event{Kind: KindTest, Op: opRound, A: r + 1})
 		}
 	}
-	coord.At(0, func() { round(0) })
 }
 
 func runPingPong(lanes, workers, rounds int) [][]string {
 	e := NewEngine(lanes, 10)
 	logs := make([][]string, lanes)
-	pingPong(e, rounds, logs)
+	for i := 0; i < lanes; i++ {
+		e.Lane(i).SetHandler(KindTest, &pingPong{e: e, lane: e.Lane(i), rounds: uint32(rounds), logs: logs})
+	}
+	e.Lane(0).At(0, Event{Kind: KindTest, Op: opRound})
 	e.Run(workers)
 	return logs
 }
@@ -69,15 +87,17 @@ func TestEngineKeyOrdering(t *testing.T) {
 	e := NewEngine(3, 1)
 	var got []string
 	target := e.Lane(2)
+	target.SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
+		got = append(got, fmt.Sprintf("%d.%d", ev.A, ev.B))
+	}))
 	for _, src := range []int{1, 0} { // schedule lane 1's first
-		src := src
 		l := e.Lane(src)
-		l.At(0, func() {
+		l.SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
 			for k := 0; k < 3; k++ {
-				k := k
-				l.Send(target, 5, func() { got = append(got, fmt.Sprintf("%d.%d", src, k)) })
+				l.Send(target, 5, Event{Kind: KindTest, A: uint32(src), B: uint32(k)})
 			}
-		})
+		}))
+		l.At(0, Event{Kind: KindTest})
 	}
 	e.Run(1)
 	want := []string{"0.0", "0.1", "0.2", "1.0", "1.1", "1.2"}
@@ -88,23 +108,29 @@ func TestEngineKeyOrdering(t *testing.T) {
 
 func TestEngineLookaheadViolationPanics(t *testing.T) {
 	e := NewEngine(2, 10)
-	e.Lane(0).At(0, func() {
+	e.Lane(0).SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
 		defer func() {
 			if recover() == nil {
 				t.Error("short cross-lane send did not panic")
 			}
 		}()
-		e.Lane(0).Send(e.Lane(1), 5, func() {})
-	})
+		e.Lane(0).Send(e.Lane(1), 5, Event{Kind: KindTest})
+	}))
+	e.Lane(0).At(0, Event{Kind: KindTest})
 	e.Run(1)
 }
 
 func TestEngineSameLaneSendHasNoLatencyFloor(t *testing.T) {
 	e := NewEngine(2, 10)
 	ran := false
-	e.Lane(0).At(0, func() {
-		e.Lane(0).Send(e.Lane(0), 1, func() { ran = true })
-	})
+	e.Lane(0).SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
+		if ev.Op == 0 {
+			e.Lane(0).Send(e.Lane(0), 1, Event{Kind: KindTest, Op: 1})
+			return
+		}
+		ran = true
+	}))
+	e.Lane(0).At(0, Event{Kind: KindTest})
 	e.Run(1)
 	if !ran {
 		t.Error("same-lane send did not run")
@@ -117,14 +143,15 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e := NewEngine(4, 10)
 		perLane := make([]int, e.Lanes()) // lane-local counters: lanes must not share state
-		seed := func(start float64) {
-			e.Lane(0).At(start, func() {
-				for i := 1; i < e.Lanes(); i++ {
-					i := i
-					e.Lane(0).Send(e.Lane(i), e.Lane(0).Now()+10, func() { perLane[i]++ })
-				}
-			})
+		e.Lane(0).SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
+			for i := 1; i < e.Lanes(); i++ {
+				e.Lane(0).Send(e.Lane(i), now+10, Event{Kind: KindTest})
+			}
+		}))
+		for i := 1; i < e.Lanes(); i++ {
+			e.Lane(i).SetHandler(KindTest, handlerFunc(func(float64, Event) { perLane[i]++ }))
 		}
+		seed := func(start float64) { e.Lane(0).At(start, Event{Kind: KindTest}) }
 		seed(0)
 		e.Run(workers)
 		first := e.Now()
@@ -146,12 +173,20 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestEngineClampsPastTimes sends to the own lane into the past on a
+// multi-lane engine: the same-lane Send is a plain At and clamps to Now.
 func TestEngineClampsPastTimes(t *testing.T) {
-	e := NewEngine(1, 0)
+	e := NewEngine(2, 10)
+	l := e.Lane(1)
 	var when float64 = -1
-	e.Lane(0).At(10, func() {
-		e.Lane(0).At(5, func() { when = e.Lane(0).Now() })
-	})
+	l.SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
+		if ev.Op == 0 {
+			l.Send(l, 5, Event{Kind: KindTest, Op: 1})
+			return
+		}
+		when = l.Now()
+	}))
+	l.At(10, Event{Kind: KindTest})
 	e.Run(1)
 	if when != 10 {
 		t.Errorf("past event ran at %v, want 10", when)

@@ -1,33 +1,23 @@
 // Package events is the deterministic discrete-event machinery shared by the
 // timing simulator and the memory system.
 //
-// Two engines live here. Queue is the original single-threaded time-ordered
-// queue with insertion-order tie-breaking, still used by components running
-// standalone (the dram unit tests). Engine is the sharded engine: a set of
-// Lanes, each a self-contained event queue that owns one component's state
-// (one DRAM channel, or the SM/L2 front-end), exchanging timestamped
-// cross-lane messages. Events are ordered by a (time, source lane, source
-// sequence) key that is independent of how execution is scheduled, so the
-// serial path (one worker draining all lanes in global key order) and the
-// parallel path (conservative time windows bounded by the minimum cross-lane
-// latency) replay identically, event for event.
+// Engine is a set of Lanes, each a self-contained event queue that owns one
+// component's state (one DRAM channel, or the SM/L2 front-end), exchanging
+// timestamped cross-lane messages. Events are ordered by a (time, source
+// lane, source sequence) key that is independent of how execution is
+// scheduled, so the serial path (one worker draining all lanes in global key
+// order) and the parallel path (conservative time windows bounded by the
+// minimum cross-lane latency) replay identically, event for event. A
+// one-lane Engine is a plain time-ordered queue with insertion-order
+// tie-breaking, which is how components run standalone in their tests.
 //
-// Scheduling has two forms sharing one pool and one ordering key:
-//
-//   - The typed form (AtEvent/SendEvent) carries a small value Event record
-//     dispatched to the Handler registered for its Kind — the steady-state
-//     path, which performs no heap allocation once the per-lane pools have
-//     warmed up.
-//   - The closure form (At/Send) carries a func() — retained as the
-//     reference implementation (the closure-based simulator replays through
-//     it) and for tests.
-//
-// Both forms draw ordering sequence numbers from the same per-lane counter,
-// so a model wired with typed events executes the identical event sequence
-// as its closure twin. Event records live in per-lane pools with freelists;
-// a lane's pool is touched only while that lane runs (single goroutine at a
-// time), so the pools need no locking — the freelist ownership argument is
-// the lane ownership argument. Heaps are hand-written 4-ary heaps over value
+// An event (scheduled with At, or Send across lanes) is a small value Event
+// record dispatched to the Handler registered for its Kind; once the
+// per-lane pools have warmed up, scheduling and dispatch perform no heap
+// allocation. Event records live in per-lane pools with freelists; a lane's
+// pool is touched only while that lane runs (single goroutine at a time),
+// so the pools need no locking — the freelist ownership argument is the
+// lane ownership argument. Heaps are hand-written 4-ary heaps over value
 // records: no interface boxing, no per-push allocation.
 package events
 
@@ -91,34 +81,11 @@ func UnpackCompletion(aux uint64) Event {
 	return Event{Kind: uint8(aux >> 40), Op: uint8(aux >> 32), A: uint32(aux)}
 }
 
-// Scheduler is the face a lane (or the legacy Queue) presents to the
-// components running on it: local time and local scheduling.
-type Scheduler interface {
-	// Now returns the current simulation time in nanoseconds.
-	Now() float64
-	// At schedules fn at time t on this scheduler; times before Now are
-	// clamped to Now.
-	At(t float64, fn func())
-}
-
-// EventScheduler is a Scheduler that also accepts typed events. Both *Queue
-// and *Lane implement it.
-type EventScheduler interface {
-	Scheduler
-	// AtEvent schedules a typed event at time t (clamped to Now), to be
-	// dispatched to the Handler registered for ev.Kind.
-	AtEvent(t float64, ev Event)
-	// SetHandler registers the Handler receiving events of the given kind.
-	SetHandler(kind uint8, h Handler)
-}
-
-// rec is one pooled event record: either a typed event or a closure. Exactly
-// one of ev/fn is meaningful (fn wins when non-nil).
+// rec is one pooled event record.
 //
 //slclint:pooled
 type rec struct {
 	ev Event
-	fn func()
 }
 
 // heapEnt is a heap entry: the ordering key plus the index of the record in
@@ -194,9 +161,9 @@ func heapPop(h []heapEnt) (heapEnt, []heapEnt) {
 	return top, h
 }
 
-// pool is the record store shared by Queue and Lane: a slice arena plus a
-// freelist of vacated slots. acquire/release are O(1) and allocation-free
-// once the arena has grown to the schedule's peak depth.
+// pool is a lane's record store: a slice arena plus a freelist of vacated
+// slots. acquire/release are O(1) and allocation-free once the arena has
+// grown to the schedule's peak depth.
 type pool struct {
 	recs []rec
 	free []int32
@@ -214,9 +181,9 @@ func (p *pool) acquire() int32 {
 	return int32(len(p.recs) - 1)
 }
 
-// release vacates a slot. The zero-value store also drops the closure
-// reference (or, under the eventsdebug build tag, writes a poison pattern
-// that acquire verifies) — a record must never be observed after release.
+// release vacates a slot. Under the eventsdebug build tag it writes a poison
+// pattern that acquire verifies — a record must never be observed after
+// release.
 //
 //slclint:allocfree
 func (p *pool) release(idx int32) {
@@ -227,87 +194,6 @@ func (p *pool) release(idx int32) {
 func (p *pool) reset() {
 	p.recs = p.recs[:0]
 	p.free = p.free[:0]
-}
-
-// Queue is a discrete-event queue. The zero value is ready to use.
-type Queue struct {
-	h        []heapEnt
-	pool     pool
-	handlers [numKinds]Handler
-	now      float64
-	seq      int64
-	executed int64
-}
-
-// Now returns the current simulation time in nanoseconds.
-func (q *Queue) Now() float64 { return q.now }
-
-// Executed returns the number of events the queue has dispatched.
-func (q *Queue) Executed() int64 { return q.executed }
-
-// SetHandler registers the Handler receiving typed events of the given kind.
-func (q *Queue) SetHandler(kind uint8, h Handler) { q.handlers[kind] = h }
-
-// At schedules fn at time t; times before Now are clamped to Now.
-func (q *Queue) At(t float64, fn func()) {
-	idx := q.pool.acquire()
-	q.pool.recs[idx] = rec{fn: fn}
-	q.push(t, idx)
-}
-
-// AtEvent schedules a typed event at time t (clamped to Now).
-//
-//slclint:allocfree
-func (q *Queue) AtEvent(t float64, ev Event) {
-	idx := q.pool.acquire()
-	q.pool.recs[idx] = rec{ev: ev}
-	q.push(t, idx)
-}
-
-//slclint:allocfree
-func (q *Queue) push(t float64, idx int32) {
-	if t < q.now {
-		t = q.now
-	}
-	q.seq++
-	q.h = heapPush(q.h, heapEnt{t: t, seq: q.seq, idx: idx})
-}
-
-// Run drains the queue, advancing Now event by event.
-//
-//slclint:allocfree
-func (q *Queue) Run() {
-	for len(q.h) > 0 {
-		var ent heapEnt
-		ent, q.h = heapPop(q.h)
-		r := q.pool.recs[ent.idx]
-		q.pool.release(ent.idx)
-		q.now = ent.t
-		q.executed++
-		if r.fn != nil {
-			r.fn()
-			continue
-		}
-		checkDispatch(&r)
-		h := q.handlers[r.ev.Kind]
-		if h == nil {
-			panic(fmt.Sprintf("events: no handler for kind %d (op %d)", r.ev.Kind, r.ev.Op)) //slclint:allow allocfree cold panic on a wiring bug, unreachable in a correct model
-		}
-		h.HandleEvent(ent.t, r.ev)
-	}
-}
-
-// Pending returns the number of scheduled events.
-func (q *Queue) Pending() int { return len(q.h) }
-
-// Reset rewinds the queue to time zero for a fresh run, keeping registered
-// handlers and the heap/pool capacity so a replay allocates nothing.
-func (q *Queue) Reset() {
-	q.h = q.h[:0]
-	q.pool.reset()
-	q.now = 0
-	q.seq = 0
-	q.executed = 0
 }
 
 // outMsg is a cross-lane message buffered during a parallel window: the full
@@ -325,7 +211,7 @@ type outMsg struct {
 // component running on it; its events execute strictly in key order on a
 // single goroutine at a time, so lane-local state — including the lane's
 // event pool and freelist — needs no locking. Lanes interact only through
-// Send/SendEvent.
+// Send.
 type Lane struct {
 	id       int32
 	eng      *Engine
@@ -338,9 +224,6 @@ type Lane struct {
 	outbox   []outMsg
 }
 
-// ID returns the lane's index within its engine.
-func (l *Lane) ID() int { return int(l.id) }
-
 // Now returns the lane's local simulation time.
 func (l *Lane) Now() float64 { return l.now }
 
@@ -348,19 +231,12 @@ func (l *Lane) Now() float64 { return l.now }
 // dispatched on this lane. Handlers survive Engine.Reset.
 func (l *Lane) SetHandler(kind uint8, h Handler) { l.handlers[kind] = h }
 
-// At schedules fn on this lane; times before Now are clamped to Now. It may
-// be called only from the lane's own events, or between Engine.Run calls.
-func (l *Lane) At(t float64, fn func()) {
-	idx := l.pool.acquire()
-	l.pool.recs[idx] = rec{fn: fn}
-	l.push(t, idx)
-}
-
-// AtEvent schedules a typed event on this lane; times before Now are clamped
-// to Now. Same calling constraints as At.
+// At schedules ev on this lane, to be dispatched to the Handler registered
+// for ev.Kind; times before Now are clamped to Now. It may be called only
+// from the lane's own events, or between Engine.Run calls.
 //
 //slclint:allocfree
-func (l *Lane) AtEvent(t float64, ev Event) {
+func (l *Lane) At(t float64, ev Event) {
 	idx := l.pool.acquire()
 	l.pool.recs[idx] = rec{ev: ev}
 	l.push(t, idx)
@@ -401,26 +277,15 @@ func (l *Lane) deliver(to *Lane, t float64, r rec) {
 	to.h = heapPush(to.h, heapEnt{t: t, seq: l.genSeq, src: l.id, idx: idx})
 }
 
-// Send schedules fn on the target lane at time t, from an event executing on
-// this lane. Cross-lane sends must respect the engine's lookahead: t must be
-// at least the sending lane's Now plus the lookahead. Sending to the own
+// Send schedules ev on the target lane at time t, from an event executing
+// on this lane. Cross-lane sends must respect the engine's lookahead: t must
+// be at least the sending lane's Now plus the lookahead. Sending to the own
 // lane is a plain At with no latency constraint.
-func (l *Lane) Send(to *Lane, t float64, fn func()) {
-	if to == l {
-		l.At(t, fn)
-		return
-	}
-	l.checkSend(to, t)
-	l.deliver(to, t, rec{fn: fn})
-}
-
-// SendEvent schedules a typed event on the target lane at time t, under the
-// same lookahead constraint as Send.
 //
 //slclint:allocfree
-func (l *Lane) SendEvent(to *Lane, t float64, ev Event) {
+func (l *Lane) Send(to *Lane, t float64, ev Event) {
 	if to == l {
-		l.AtEvent(t, ev)
+		l.At(t, ev)
 		return
 	}
 	l.checkSend(to, t)
@@ -445,10 +310,6 @@ func (l *Lane) step() {
 	l.pool.release(ent.idx)
 	l.now = ent.t
 	l.executed++
-	if r.fn != nil {
-		r.fn()
-		return
-	}
 	checkDispatch(&r)
 	h := l.handlers[r.ev.Kind]
 	if h == nil {

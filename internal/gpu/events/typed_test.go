@@ -4,26 +4,14 @@ import (
 	"testing"
 )
 
-// recording is a Handler appending every dispatched event.
-type recording struct {
-	ops   []uint8
-	times []float64
-}
-
-func (r *recording) HandleEvent(now float64, ev Event) {
-	r.ops = append(r.ops, ev.Op)
-	r.times = append(r.times, now)
-}
-
 func TestTypedDispatchOrdering(t *testing.T) {
-	var q Queue
 	var rec recording
-	q.SetHandler(KindTest, &rec)
-	q.AtEvent(3, Event{Kind: KindTest, Op: 3})
-	q.AtEvent(1, Event{Kind: KindTest, Op: 1})
-	q.AtEvent(2, Event{Kind: KindTest, Op: 2})
-	q.AtEvent(1, Event{Kind: KindTest, Op: 4}) // same time: insertion order
-	q.Run()
+	e, l := oneLane(&rec)
+	l.At(3, Event{Kind: KindTest, Op: 3})
+	l.At(1, Event{Kind: KindTest, Op: 1})
+	l.At(2, Event{Kind: KindTest, Op: 2})
+	l.At(1, Event{Kind: KindTest, Op: 4}) // same time: insertion order
+	e.Run(1)
 	want := []uint8{1, 4, 2, 3}
 	if len(rec.ops) != len(want) {
 		t.Fatalf("dispatched %d events, want %d", len(rec.ops), len(want))
@@ -35,41 +23,15 @@ func TestTypedDispatchOrdering(t *testing.T) {
 	}
 }
 
-// TestTypedClosureSharedOrder checks that typed and closure events drawn
-// from the same scheduler interleave by one shared sequence counter: a
-// closure scheduled before a typed event at the same time runs first, and
-// vice versa.
-func TestTypedClosureSharedOrder(t *testing.T) {
-	var q Queue
-	var order []string
-	q.SetHandler(KindTest, handlerFunc(func(now float64, ev Event) {
-		order = append(order, "typed")
-	}))
-	q.At(5, func() { order = append(order, "fn1") })
-	q.AtEvent(5, Event{Kind: KindTest})
-	q.At(5, func() { order = append(order, "fn2") })
-	q.Run()
-	want := []string{"fn1", "typed", "fn2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-}
-
-type handlerFunc func(now float64, ev Event)
-
-func (f handlerFunc) HandleEvent(now float64, ev Event) { f(now, ev) }
-
 func TestNoHandlerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("dispatching a kind with no handler did not panic")
 		}
 	}()
-	var q Queue
-	q.AtEvent(0, Event{Kind: KindTest})
-	q.Run()
+	e := NewEngine(1, 0)
+	e.Lane(0).At(0, Event{Kind: KindTest})
+	e.Run(1)
 }
 
 func TestPackCompletionRoundTrip(t *testing.T) {
@@ -97,9 +59,9 @@ func (h *stressHandler) HandleEvent(now float64, ev Event) {
 		next := Event{Kind: KindTest, Op: ev.Op + 1, A: ev.A*1664525 + 1013904223}
 		target := h.eng.Lane(int(next.A>>8) % h.eng.Lanes())
 		if target == h.lane {
-			h.lane.AtEvent(now+float64(next.A%5), next)
+			h.lane.At(now+float64(next.A%5), next)
 		} else {
-			h.lane.SendEvent(target, now+1+float64(next.A%5), next)
+			h.lane.Send(target, now+1+float64(next.A%5), next)
 		}
 	}
 }
@@ -125,7 +87,7 @@ func TestEventPoolReuseStress(t *testing.T) {
 				handlers[i].budget = 4000
 			}
 			for i := 0; i < lanes; i++ {
-				eng.Lane(i).AtEvent(float64(i%3), Event{Kind: KindTest, A: uint32(i)*2654435761 + 7})
+				eng.Lane(i).At(float64(i%3), Event{Kind: KindTest, A: uint32(i)*2654435761 + 7})
 			}
 			eng.Run(workers)
 			total += eng.Executed()
@@ -141,22 +103,21 @@ func TestEventPoolReuseStress(t *testing.T) {
 	}
 }
 
-// TestQueueResetReuses replays the same schedule through one Queue and
-// requires the second run to dispatch identically after Reset.
+// TestQueueResetReuses replays the same schedule through a one-lane engine
+// and requires the second run to dispatch identically after Reset.
 func TestQueueResetReuses(t *testing.T) {
-	var q Queue
 	var rec recording
-	q.SetHandler(KindTest, &rec)
+	e, l := oneLane(&rec)
 	run := func() {
 		for i := 0; i < 50; i++ {
-			q.AtEvent(float64(i%7), Event{Kind: KindTest, Op: uint8(i)})
+			l.At(float64(i%7), Event{Kind: KindTest, Op: uint8(i)})
 		}
-		q.Run()
+		e.Run(1)
 	}
 	run()
 	first := append([]uint8(nil), rec.ops...)
 	rec.ops, rec.times = rec.ops[:0], rec.times[:0]
-	q.Reset()
+	e.Reset()
 	run()
 	if len(rec.ops) != len(first) {
 		t.Fatalf("replay dispatched %d events, first run %d", len(rec.ops), len(first))

@@ -8,11 +8,18 @@
 // The System runs on the sharded event engine: the controller front-end
 // (routing and the MDC probes, which two channels of a controller share)
 // executes on the coordinator lane, while each GDDR5 channel drains on its
-// own lane. The two are decoupled by the memory-path latency PathNs, which
-// is exactly the cross-lane message latency — the lookahead that lets the
+// own lane. The two are decoupled by the memory-path latency, which is
+// exactly the cross-lane message latency — the lookahead that lets the
 // engine run channel lanes concurrently while replaying bitwise-identically
 // to the serial engine. Per-channel statistics accumulate in lane-local
 // shards and are merged only after the engine has drained.
+//
+// The whole memory path runs on typed events (see events.Event): the System
+// is the handler for events.KindMC and events.KindDram on every lane it
+// touches, and a read's completion is the caller's own typed event,
+// delivered back onto the coordinator lane. Once the event pools and DRAM
+// arenas have warmed up, Read and Write schedule and serve requests without
+// allocating.
 package mc
 
 import (
@@ -142,7 +149,7 @@ func (m *mdcCache) lookup(metaLine uint64) bool {
 
 // System is the full memory-controller subsystem on the sharded engine.
 // Read and Write must be called from events on the coordinator lane (or
-// before the engine runs); completion callbacks are delivered back onto the
+// before the engine runs); read completions are delivered back onto the
 // coordinator lane.
 type System struct {
 	cfg      Config
@@ -166,6 +173,8 @@ type System struct {
 // e.g. all equal to coord for a single-lane setup). pathNs is the one-way
 // latency between the L2/front-end and the channels, paid by every
 // cross-lane message; it must be at least the owning engine's lookahead.
+// New registers the System as the handler for events.KindMC on coord and
+// for events.KindMC and events.KindDram on every channel lane.
 func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float64) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -190,43 +199,30 @@ func New(cfg Config, coord *events.Lane, chanLanes []*events.Lane, pathNs float6
 		laneStats: make([]Stats, cfg.Channels()),
 		metaBase:  1 << 40,
 	}
-	for i := range s.channels {
-		if chanLanes[i] == nil {
+	for i, lane := range chanLanes {
+		if lane == nil {
 			return nil, fmt.Errorf("mc: nil lane for channel %d", i)
 		}
-		ch, err := dram.NewChannel(cfg.Dram, chanLanes[i])
+		drainEv := events.Event{Kind: events.KindDram, Op: opDrain, B: uint32(i)}
+		ch, err := dram.NewChannel(cfg.Dram, lane, drainEv)
 		if err != nil {
 			return nil, err
 		}
 		s.channels[i] = ch
+		// Lanes may alias (all equal to coord on a one-lane engine), so
+		// registering per channel is idempotent.
+		lane.SetHandler(events.KindMC, s)
+		lane.SetHandler(events.KindDram, s)
 	}
+	coord.SetHandler(events.KindMC, s)
 	for i := range s.mdcs {
 		s.mdcs[i] = newMDC(cfg.MDCLines, cfg.MDCWays)
 	}
 	return s, nil
 }
 
-// NewSingle builds the subsystem on a single-lane engine — the standalone
-// configuration unit tests and tools use. The returned engine's Run drains
-// it; there is no cross-lane latency.
-func NewSingle(cfg Config) (*System, *events.Engine, error) {
-	eng := events.NewEngine(1, 0)
-	lanes := make([]*events.Lane, cfg.Channels())
-	for i := range lanes {
-		lanes[i] = eng.Lane(0)
-	}
-	s, err := New(cfg, eng.Lane(0), lanes, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, eng, nil
-}
-
 // Channels returns the number of channels.
 func (s *System) Channels() int { return len(s.channels) }
-
-// PathNs returns the front-end ↔ channel latency.
-func (s *System) PathNs() float64 { return s.pathNs }
 
 // route maps an address to its channel and controller.
 func (s *System) route(addr uint64) (ch, ctrl int) {
@@ -248,83 +244,17 @@ func (s *System) localAddr(addr uint64) uint64 {
 // counting the outcome. It runs on the coordinator lane, where the two
 // channels of a controller can share the cache without synchronisation.
 // It reports whether the line must be fetched from DRAM first.
-func (s *System) probeMDC(addr uint64, ctrl int) (metaLine uint64, fetch bool) {
-	metaLine = addr / (blocksPerMetaLine * compress.BlockSize)
-	if s.mdcs[ctrl].lookup(metaLine) {
+func (s *System) probeMDC(addr uint64, ctrl int) (fetch bool) {
+	if s.mdcs[ctrl].lookup(addr / (blocksPerMetaLine * compress.BlockSize)) {
 		s.front.MDCHits++
-		return metaLine, false
+		return false
 	}
 	s.front.MDCMisses++
 	s.front.MetaBursts++
-	return metaLine, true
+	return true
 }
 
-// Read requests a block read; done is invoked on the coordinator lane at
-// the completion time (bus transfer plus decompression and the return
-// memory path). Compressed reads pay the MDC probe and decompression
-// latency; an MDC miss fetches the metadata line from the channel first.
-func (s *System) Read(addr uint64, bursts int, compressed bool, done func()) {
-	s.front.Reads++
-	ch, ctrl := s.route(addr)
-	la := s.localAddr(addr)
-	var metaLine uint64
-	fetch := false
-	decompNs := 0.0
-	if compressed {
-		metaLine, fetch = s.probeMDC(addr, ctrl)
-		decompNs = float64(s.cfg.DecompressCycles) * s.cycleNs
-	}
-	lane := s.lanes[ch]
-	s.coord.Send(lane, s.coord.Now()+s.pathNs, func() {
-		issue := func() {
-			s.channels[ch].Enqueue(la, bursts, func(busEnd float64) {
-				if compressed {
-					s.laneStats[ch].Decompresses++
-				}
-				lane.Send(s.coord, busEnd+decompNs+s.pathNs, done)
-			})
-		}
-		if fetch {
-			s.channels[ch].EnqueueMeta(s.metaBase+metaLine*32, 1, func(float64) { issue() })
-		} else {
-			issue()
-		}
-	})
-}
-
-// Write posts a block writeback; compression latency is paid before the bus
-// transfer. Writes are posted: no completion callback.
-func (s *System) Write(addr uint64, bursts int, compressed bool) {
-	s.front.Writes++
-	ch, ctrl := s.route(addr)
-	la := s.localAddr(addr)
-	lane := s.lanes[ch]
-	now := s.coord.Now()
-	if !compressed {
-		s.coord.Send(lane, now+s.pathNs, func() {
-			s.channels[ch].Enqueue(la, bursts, nil)
-		})
-		return
-	}
-	s.front.Compresses++
-	lat := float64(s.cfg.CompressCycles) * s.cycleNs
-	metaLine, fetch := s.probeMDC(addr, ctrl)
-	if !fetch {
-		s.coord.Send(lane, now+s.pathNs+lat, func() {
-			s.channels[ch].Enqueue(la, bursts, nil)
-		})
-		return
-	}
-	s.coord.Send(lane, now+s.pathNs, func() {
-		s.channels[ch].EnqueueMeta(s.metaBase+metaLine*32, 1, func(tm float64) {
-			lane.At(tm+lat, func() {
-				s.channels[ch].Enqueue(la, bursts, nil)
-			})
-		})
-	})
-}
-
-// Typed-event opcodes (events.KindMC unless noted). The System is the one
+// Event opcodes (events.KindMC unless noted). The System is the one
 // handler for KindMC and KindDram on every lane it touches, so opcodes
 // alone select the action; ev.B always carries the channel index. Events on
 // a channel lane carry the global address — localAddr and the metadata-line
@@ -360,23 +290,6 @@ const (
 	burstsMask     uint32 = 0xff
 )
 
-// EnableEvents registers the System as the typed-event handler for KindMC
-// and KindDram on the coordinator and every channel lane, and switches the
-// DRAM channels to typed drain scheduling. After this, ReadEvent/WriteEvent
-// run the whole memory path without allocating; the closure Read/Write stay
-// usable (the reference simulator replays through them on a System without
-// EnableEvents).
-func (s *System) EnableEvents() {
-	s.coord.SetHandler(events.KindMC, s)
-	for _, l := range s.lanes { // entries may alias; SetHandler is idempotent
-		l.SetHandler(events.KindMC, s)
-		l.SetHandler(events.KindDram, s)
-	}
-	for i, ch := range s.channels {
-		ch.EnableEvents(s.lanes[i], events.Event{Kind: events.KindDram, Op: opDrain, B: uint32(i)})
-	}
-}
-
 // Reset returns the System to its initial state — counters, MDC contents
 // and channel queues — keeping every allocation, so a replay of the same
 // access stream is allocation-free.
@@ -393,22 +306,24 @@ func (s *System) Reset() {
 	}
 }
 
-// ReadEvent is the typed twin of Read: doneEv (Kind/Op/A only, see
+// Read requests a block read; doneEv (Kind/Op/A only, see
 // events.PackCompletion) is dispatched on the coordinator lane at the
-// completion time. It schedules the identical event sequence as Read, so a
-// typed simulator and its closure twin replay bitwise-identically.
-func (s *System) ReadEvent(addr uint64, bursts int, compressed bool, doneEv events.Event) {
+// completion time: bus transfer plus decompression and the return memory
+// path. Compressed reads pay the MDC probe and decompression latency; an MDC
+// miss fetches the metadata line from the channel first.
+//
+//slclint:allocfree
+func (s *System) Read(addr uint64, bursts int, compressed bool, doneEv events.Event) {
 	s.front.Reads++
 	ch, ctrl := s.route(addr)
 	a := uint32(bursts) & burstsMask
 	if compressed {
-		_, fetch := s.probeMDC(addr, ctrl)
 		a |= flagCompressed
-		if fetch {
+		if s.probeMDC(addr, ctrl) {
 			a |= flagFetch
 		}
 	}
-	s.coord.SendEvent(s.lanes[ch], s.coord.Now()+s.pathNs, events.Event{
+	s.coord.Send(s.lanes[ch], s.coord.Now()+s.pathNs, events.Event{
 		Addr: addr,
 		Aux:  events.PackCompletion(doneEv),
 		A:    a,
@@ -418,8 +333,11 @@ func (s *System) ReadEvent(addr uint64, bursts int, compressed bool, doneEv even
 	})
 }
 
-// WriteEvent is the typed twin of Write (posted, no completion).
-func (s *System) WriteEvent(addr uint64, bursts int, compressed bool) {
+// Write posts a block writeback; compression latency is paid before the bus
+// transfer. Writes are posted: no completion.
+//
+//slclint:allocfree
+func (s *System) Write(addr uint64, bursts int, compressed bool) {
 	s.front.Writes++
 	ch, ctrl := s.route(addr)
 	now := s.coord.Now()
@@ -431,18 +349,17 @@ func (s *System) WriteEvent(addr uint64, bursts int, compressed bool) {
 		Op:   opWriteData,
 	}
 	if !compressed {
-		s.coord.SendEvent(s.lanes[ch], now+s.pathNs, ev)
+		s.coord.Send(s.lanes[ch], now+s.pathNs, ev)
 		return
 	}
 	s.front.Compresses++
 	lat := float64(s.cfg.CompressCycles) * s.cycleNs
-	_, fetch := s.probeMDC(addr, ctrl)
-	if !fetch {
-		s.coord.SendEvent(s.lanes[ch], now+s.pathNs+lat, ev)
+	if !s.probeMDC(addr, ctrl) {
+		s.coord.Send(s.lanes[ch], now+s.pathNs+lat, ev)
 		return
 	}
 	ev.Op = opWriteMeta
-	s.coord.SendEvent(s.lanes[ch], now+s.pathNs, ev)
+	s.coord.Send(s.lanes[ch], now+s.pathNs, ev)
 }
 
 // metaAddr returns the DRAM address of an address's metadata line.
@@ -451,10 +368,10 @@ func (s *System) metaAddr(addr uint64) uint64 {
 	return s.metaBase + metaLine*32
 }
 
-// HandleEvent dispatches the System's typed events. Each arm schedules
-// exactly what the corresponding closure in Read/Write schedules, in the
-// same order — the sequence-number parity that keeps typed and closure
-// replays identical.
+// HandleEvent dispatches the System's events on the coordinator and channel
+// lanes.
+//
+//slclint:allocfree
 func (s *System) HandleEvent(now float64, ev events.Event) {
 	ch := int(ev.B)
 	switch ev.Op {
@@ -464,7 +381,7 @@ func (s *System) HandleEvent(now float64, ev events.Event) {
 		if ev.A&flagFetch != 0 {
 			meta := ev
 			meta.Op = opReadIssue
-			s.channels[ch].EnqueueEvent(s.metaAddr(ev.Addr), 1, true, meta)
+			s.channels[ch].Enqueue(s.metaAddr(ev.Addr), 1, true, meta)
 			return
 		}
 		s.issueRead(ev)
@@ -477,20 +394,20 @@ func (s *System) HandleEvent(now float64, ev events.Event) {
 			decompNs = float64(s.cfg.DecompressCycles) * s.cycleNs
 		}
 		lane := s.lanes[ch]
-		lane.SendEvent(s.coord, now+decompNs+s.pathNs, events.UnpackCompletion(ev.Aux))
+		lane.Send(s.coord, now+decompNs+s.pathNs, events.UnpackCompletion(ev.Aux))
 	case opWriteData:
-		s.channels[ch].EnqueueEvent(s.localAddr(ev.Addr), int(ev.A&burstsMask), false, events.Event{})
+		s.channels[ch].Enqueue(s.localAddr(ev.Addr), int(ev.A&burstsMask), false, events.Event{})
 	case opWriteMeta:
 		after := ev
 		after.Op = opWriteAfterMeta
-		s.channels[ch].EnqueueEvent(s.metaAddr(ev.Addr), 1, true, after)
+		s.channels[ch].Enqueue(s.metaAddr(ev.Addr), 1, true, after)
 	case opWriteAfterMeta:
 		lat := float64(s.cfg.CompressCycles) * s.cycleNs
 		data := ev
 		data.Op = opWriteData
-		s.lanes[ch].AtEvent(now+lat, data)
+		s.lanes[ch].At(now+lat, data)
 	default:
-		panic(fmt.Sprintf("mc: unknown event op %d", ev.Op))
+		panic(fmt.Sprintf("mc: unknown event op %d", ev.Op)) //slclint:allow allocfree cold panic on a wiring bug, unreachable in a correct model
 	}
 }
 
@@ -498,7 +415,7 @@ func (s *System) HandleEvent(now float64, ev events.Event) {
 func (s *System) issueRead(ev events.Event) {
 	done := ev
 	done.Op = opReadDone
-	s.channels[int(ev.B)].EnqueueEvent(s.localAddr(ev.Addr), int(ev.A&burstsMask), false, done)
+	s.channels[int(ev.B)].Enqueue(s.localAddr(ev.Addr), int(ev.A&burstsMask), false, done)
 }
 
 // Stats returns the controller counters, merging the coordinator-side

@@ -7,21 +7,65 @@ import (
 	"repro/internal/gpu/events"
 )
 
+// newSingle builds the subsystem on a one-lane engine — the standalone
+// configuration: every channel shares the coordinator lane and there is no
+// cross-lane latency. The returned engine's Run drains it.
+func newSingle(cfg Config) (*System, *events.Engine, error) {
+	eng := events.NewEngine(1, 0)
+	lanes := make([]*events.Lane, cfg.Channels())
+	for i := range lanes {
+		lanes[i] = eng.Lane(0)
+	}
+	s, err := New(cfg, eng.Lane(0), lanes, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, eng, nil
+}
+
 func newSys(t *testing.T) (*System, *events.Engine) {
 	t.Helper()
-	s, eng, err := NewSingle(DefaultConfig())
+	s, eng, err := newSingle(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s, eng
 }
 
+// completionLog records completions dispatched on the coordinator: the
+// (op, arg, time) stream a simulator front-end would consume.
+type completionLog struct {
+	ops   []uint8
+	args  []uint32
+	times []float64
+}
+
+func (c *completionLog) HandleEvent(now float64, ev events.Event) {
+	c.ops = append(c.ops, ev.Op)
+	c.args = append(c.args, ev.A)
+	c.times = append(c.times, now)
+}
+
+// last returns the time of the most recent completion.
+func (c *completionLog) last() float64 { return c.times[len(c.times)-1] }
+
+// logCompletions registers a fresh completionLog as the coordinator's
+// KindTest handler.
+func logCompletions(s *System) *completionLog {
+	log := &completionLog{}
+	s.coord.SetHandler(events.KindTest, log)
+	return log
+}
+
+// doneEv is the read completion the tests request.
+var doneEv = events.Event{Kind: events.KindTest, Op: 7}
+
 // readAt runs a single read to completion and returns its completion time.
 func readAt(s *System, eng *events.Engine, addr uint64, bursts int, compressed bool) float64 {
-	var done float64
-	s.Read(addr, bursts, compressed, func() { done = s.coord.Now() })
+	log := logCompletions(s)
+	s.Read(addr, bursts, compressed, doneEv)
 	eng.Run(1)
-	return done
+	return log.last()
 }
 
 func TestChannelCount(t *testing.T) {
@@ -71,13 +115,14 @@ func TestFewerBurstsFinishSooner(t *testing.T) {
 	// Open-loop streams to one channel: 1-burst traffic drains faster.
 	s1, q1 := newSys(t)
 	s4, q4 := newSys(t)
-	var t1, t4 float64
+	log1, log4 := logCompletions(s1), logCompletions(s4)
 	for i := 0; i < 200; i++ {
-		s1.Read(0, 1, true, func() { t1 = s1.coord.Now() })
-		s4.Read(0, 4, true, func() { t4 = s4.coord.Now() })
+		s1.Read(0, 1, true, doneEv)
+		s4.Read(0, 4, true, doneEv)
 	}
 	q1.Run(1)
 	q4.Run(1)
+	t1, t4 := log1.last(), log4.last()
 	if t1 >= t4 {
 		t.Errorf("1-burst stream (%v) not faster than 4-burst stream (%v)", t1, t4)
 	}
@@ -130,11 +175,12 @@ func TestWriteCountsCompression(t *testing.T) {
 
 func TestDramStatsAggregation(t *testing.T) {
 	s, q := newSys(t)
+	logCompletions(s)
 	totalBursts := 0
 	for i := 0; i < 100; i++ {
 		b := i%4 + 1
 		totalBursts += b
-		s.Read(uint64(i)*256, b, false, func() {})
+		s.Read(uint64(i)*256, b, false, doneEv)
 	}
 	q.Run(1)
 	ds := s.DramStats()
@@ -161,9 +207,7 @@ func TestPathLatencyDelaysCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	tFast := readAt(sFast, qFast, 4096, 4, false)
-	var tSlow float64
-	sSlow.Read(4096, 4, false, func() { tSlow = sSlow.coord.Now() })
-	eng.Run(1)
+	tSlow := readAt(sSlow, eng, 4096, 4, false)
 	if got, want := tSlow-tFast, 2*path; math.Abs(got-want) > 1e-9 {
 		t.Errorf("path latency added %g ns, want %g", got, want)
 	}
@@ -179,7 +223,7 @@ func TestPeakBandwidth(t *testing.T) {
 func TestValidate(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Controllers = 0
-	if _, _, err := NewSingle(bad); err == nil {
+	if _, _, err := newSingle(bad); err == nil {
 		t.Error("invalid config accepted")
 	}
 	eng := events.NewEngine(1, 0)
@@ -194,104 +238,17 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// completionLog records typed completions dispatched on the coordinator:
-// the (op, arg, time) stream a simulator front-end would consume.
-type completionLog struct {
-	ops   []uint8
-	args  []uint32
-	times []float64
-}
-
-func (c *completionLog) HandleEvent(now float64, ev events.Event) {
-	c.ops = append(c.ops, ev.Op)
-	c.args = append(c.args, ev.A)
-	c.times = append(c.times, now)
-}
-
-// TestTypedMatchesClosure drives the same access stream through the typed
-// (ReadEvent/WriteEvent) and closure (Read/Write) paths on two identical
-// systems and requires identical controller and DRAM statistics plus the
-// identical completion stream — times included. This is the equivalence
-// contract the typed simulator rests on.
-func TestTypedMatchesClosure(t *testing.T) {
-	type access struct {
-		addr       uint64
-		bursts     int
-		write      bool
-		compressed bool
-	}
-	var accs []access
-	for i := 0; i < 400; i++ {
-		accs = append(accs, access{
-			addr:       uint64(i*131) % 50000 * 128,
-			bursts:     i%4 + 1,
-			write:      i%5 == 0,
-			compressed: i%3 != 0,
-		})
-	}
-
-	// Typed run.
-	st, engT := newSys(t)
-	st.EnableEvents()
-	var typed completionLog
-	st.coord.SetHandler(events.KindTest, &typed)
-	for i, a := range accs {
-		if a.write {
-			st.WriteEvent(a.addr, a.bursts, a.compressed)
-		} else {
-			st.ReadEvent(a.addr, a.bursts, a.compressed,
-				events.Event{Kind: events.KindTest, Op: 7, A: uint32(i)})
-		}
-	}
-	engT.Run(1)
-
-	// Closure run.
-	sc, engC := newSys(t)
-	var closure completionLog
-	for i, a := range accs {
-		if a.write {
-			sc.Write(a.addr, a.bursts, a.compressed)
-		} else {
-			sc.Read(a.addr, a.bursts, a.compressed, func() {
-				closure.ops = append(closure.ops, 7)
-				closure.args = append(closure.args, uint32(i))
-				closure.times = append(closure.times, sc.coord.Now())
-			})
-		}
-	}
-	engC.Run(1)
-
-	if st.Stats() != sc.Stats() {
-		t.Errorf("controller stats diverge:\ntyped   %+v\nclosure %+v", st.Stats(), sc.Stats())
-	}
-	if st.DramStats() != sc.DramStats() {
-		t.Errorf("dram stats diverge:\ntyped   %+v\nclosure %+v", st.DramStats(), sc.DramStats())
-	}
-	if len(typed.ops) != len(closure.ops) {
-		t.Fatalf("completion counts diverge: typed %d, closure %d", len(typed.ops), len(closure.ops))
-	}
-	for i := range typed.ops {
-		if typed.ops[i] != closure.ops[i] || typed.args[i] != closure.args[i] ||
-			typed.times[i] != closure.times[i] {
-			t.Fatalf("completion %d diverges: typed (op %d, arg %d, t %g), closure (op %d, arg %d, t %g)",
-				i, typed.ops[i], typed.args[i], typed.times[i],
-				closure.ops[i], closure.args[i], closure.times[i])
-		}
-	}
-}
-
 // TestSystemResetReplays drives a stream, resets, replays, and requires
 // identical statistics — the reuse contract behind the alloc-free replay.
 func TestSystemResetReplays(t *testing.T) {
 	s, eng := newSys(t)
-	s.EnableEvents()
 	run := func() (Stats, [12]int) {
 		for i := 0; i < 300; i++ {
 			addr := uint64(i*257) % 40000 * 128
 			if i%4 == 0 {
-				s.WriteEvent(addr, i%3+1, i%2 == 0)
+				s.Write(addr, i%3+1, i%2 == 0)
 			} else {
-				s.ReadEvent(addr, i%4+1, i%2 == 0, events.Event{Kind: events.KindTest, Op: 1})
+				s.Read(addr, i%4+1, i%2 == 0, doneEv)
 			}
 		}
 		eng.Run(1)
@@ -301,7 +258,7 @@ func TestSystemResetReplays(t *testing.T) {
 		}
 		return s.Stats(), reqs
 	}
-	s.coord.SetHandler(events.KindTest, &completionLog{})
+	logCompletions(s)
 	first, firstReqs := run()
 	s.Reset()
 	eng.Reset()

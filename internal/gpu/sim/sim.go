@@ -23,9 +23,9 @@
 // through the lanes' handler tables, and all model state — engine, caches,
 // memory system, warp and SM arrays — is built once in New and reset in
 // place by Replay. After a warm-up replay the steady-state loop performs
-// zero heap allocations (pinned by TestSimSteadyStateAllocFree). RunRef in
-// ref.go is the closure-based twin that schedules the identical event
-// sequence; the two must return bitwise-equal Results.
+// zero heap allocations (pinned by TestSimSteadyStateAllocFree). The
+// Results of all nine workload traces, serial and sharded, are pinned by
+// TestSimResultsGolden in internal/experiments.
 package sim
 
 import (
@@ -216,7 +216,6 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem.EnableEvents()
 	s := &Simulator{
 		cfg:       cfg,
 		smCycleNs: smCycleNs,
@@ -354,7 +353,7 @@ func (s *Simulator) runKernel(k *trace.Kernel) {
 		smv := &s.sms[s.warps[wi].sm]
 		if smv.resident < s.cfg.MaxWarpsPerSM {
 			smv.resident++
-			s.q.AtEvent(start, events.Event{Kind: events.KindSim, Op: opTryIssue, A: uint32(wi)})
+			s.q.At(start, events.Event{Kind: events.KindSim, Op: opTryIssue, A: uint32(wi)})
 		} else {
 			smv.pending = append(smv.pending, int32(wi))
 		}
@@ -393,7 +392,7 @@ func (s *Simulator) tryIssueNext(wi int32, t float64) {
 	endIssue := startIssue + float64(a.Compute)*s.smCycleNs
 	smv.issueFreeNs = endIssue
 	s.res.Instructions += int64(a.Compute)
-	s.q.AtEvent(endIssue, events.Event{Kind: events.KindSim, Op: opIssue, A: uint32(wi), B: uint32(ai)})
+	s.q.At(endIssue, events.Event{Kind: events.KindSim, Op: opIssue, A: uint32(wi), B: uint32(ai)})
 }
 
 // issueAccess performs the L1/L2/DRAM path of one access. Reads join the
@@ -413,8 +412,8 @@ func (s *Simulator) issueAccess(wi int32, a trace.Access, now float64) {
 		} else if r := l1.Access(a.Addr, false); r.Hit {
 			w.outstanding++
 			hitNs := float64(s.cfg.L1HitCycles) * s.smCycleNs
-			s.q.AtEvent(now+hitNs, respondEv)
-			s.q.AtEvent(now, tryEv)
+			s.q.At(now+hitNs, respondEv)
+			s.q.At(now, tryEv)
 			return
 		}
 	}
@@ -424,24 +423,24 @@ func (s *Simulator) issueAccess(wi int32, a trace.Access, now float64) {
 		if !ok {
 			wb = blockXfer{bursts: s.cfg.MAG.MaxBursts(), compressed: false}
 		}
-		s.mem.WriteEvent(res.WritebackAddr, wb.bursts, wb.compressed)
+		s.mem.Write(res.WritebackAddr, wb.bursts, wb.compressed)
 	}
 	if a.Write {
 		// Record the block's compressed geometry for its eventual
 		// writeback; stores are posted, the warp does not wait.
 		s.lastWrite[a.Addr] = blockXfer{bursts: int(a.Bursts), compressed: a.Compressed}
-		s.q.AtEvent(now, tryEv)
+		s.q.At(now, tryEv)
 		return
 	}
 	w.outstanding++
 	hitNs := float64(s.cfg.L2HitCycles) * s.smCycleNs
 	if res.Hit {
-		s.q.AtEvent(now+hitNs, respondEv)
+		s.q.At(now+hitNs, respondEv)
 	} else {
-		s.mem.ReadEvent(a.Addr, int(a.Bursts), a.Compressed, respondEv)
+		s.mem.Read(a.Addr, int(a.Bursts), a.Compressed, respondEv)
 	}
 	// Independent next instructions keep issuing behind the load.
-	s.q.AtEvent(now, tryEv)
+	s.q.At(now, tryEv)
 }
 
 // respond retires one outstanding load and unblocks the warp.

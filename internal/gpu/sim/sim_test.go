@@ -384,34 +384,6 @@ func BenchmarkSimSerial(b *testing.B)    { benchSim(b, 1) }
 func BenchmarkSimSharded4(b *testing.B)  { benchSim(b, 4) }
 func BenchmarkSimSharded12(b *testing.B) { benchSim(b, 12) }
 
-// TestTypedMatchesRef pins the typed Simulator to the closure-based
-// reference engine (ref.go): both schedule the identical event sequence, so
-// every trace must produce a bitwise-equal Result, serial and sharded.
-func TestTypedMatchesRef(t *testing.T) {
-	traces := map[string]*trace.Trace{
-		"stream": streamTrace(128, 80, 3, 4),
-		"mixed":  mixedTrace(),
-	}
-	for name, tr := range traces {
-		for _, workers := range []int{1, 4} {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			want, err := RunRef(tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Run(tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("%s (workers %d): typed diverges from reference:\nref:   %+v\ntyped: %+v",
-					name, workers, want, got)
-			}
-		}
-	}
-}
-
 // TestSimSteadyStateAllocFree pins the tentpole property: once a warm-up
 // replay has grown the event pools, queue arenas and DRAM arenas to the
 // trace's high-water marks, a serial replay performs zero heap allocations.
