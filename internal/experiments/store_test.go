@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -254,5 +255,57 @@ func TestStoreSharedByConcurrentRunners(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("warm results after concurrent population differ from serial")
+	}
+}
+
+// TestStoreKeysStable pins the on-disk address and payload encoding of every
+// record kind a TP evaluation writes — golden outputs, the trained table, a
+// full cell and a compression-only cell — under a fixed code fingerprint. A
+// change to key material or record encodings would silently orphan every
+// existing store; it fails here instead.
+func TestStoreKeysStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runner integration in -short mode")
+	}
+	dir := t.TempDir()
+	w := tpWorkload(t)
+	cfg := E2MCConfig(compress.MAG32)
+	r := NewRunner()
+	r.Store = openStore(t, dir)
+	if _, err := r.Run(w, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.CompressionOnly(w, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	got := map[string]string{}
+	err := filepath.Walk(filepath.Join(dir, "objects"), func(path string, fi os.FileInfo, err error) error {
+		if err != nil || fi.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var hdr struct{ Kind, Enc string }
+		line, _, _ := strings.Cut(string(data), "\n")
+		if err := json.Unmarshal([]byte(line), &hdr); err != nil {
+			return err
+		}
+		got[hdr.Kind] = hdr.Enc + " " + fi.Name()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"golden": "gob 3ea80714429a66475f1e75331dde7c5c053eb4863f9471f568f8d9c194f822d6",
+		"table":  "bin 5601a7d5ccc870857b055229338b77d40846ed510db39b3bff42d590223dbc47",
+		"cell":   "json d3ac08cd80962a84bf794213589b5c7b8a88b991aba8b815031cf422fd7ec949",
+		"comp":   "json b0563993a65edd40090550b28de72bd4ca10e849f7543b788119fa24cc1ef0e4",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("store records (kind → encoding and key) = %v, want %v", got, want)
 	}
 }
