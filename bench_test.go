@@ -299,8 +299,8 @@ func BenchmarkSimSharded4(b *testing.B) { benchSimReplay(b, 4) }
 // BenchmarkSimShardedAll shards the replay across all cores.
 func BenchmarkSimShardedAll(b *testing.B) { benchSimReplay(b, runtime.GOMAXPROCS(0)) }
 
-// decodeCorpora builds (once) the per-workload entropy-decode corpora the
-// decode benchmarks share: blocks sampled from each registered workload's
+// decodeCorpora builds (once) the per-workload entropy-decode corpora
+// BenchmarkDecodeLUT replays: blocks sampled from each registered workload's
 // device image, encoded with that workload's trained table.
 var (
 	corporaOnce sync.Once
@@ -322,12 +322,10 @@ func decodeCorpora() ([]*experiments.DecodeCorpus, error) {
 	return corpora, corporaErr
 }
 
-// benchDecode drives one decoder over every corpus block per iteration and
-// reports the mean ns/block. Compare BenchmarkDecodeLUT against
-// BenchmarkDecodeReference for the LUT fast-path speedup (the PR's
-// acceptance bar is ≥ 3×); `slcbench -decodebench` reports the same split
-// per workload.
-func benchDecode(b *testing.B, fn func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error) {
+// BenchmarkDecodeLUT times the table-driven entropy decode over every corpus
+// block per iteration and reports the mean ns/block; `slcbench
+// -decodebench` reports the same per workload.
+func BenchmarkDecodeLUT(b *testing.B) {
 	cs, err := decodeCorpora()
 	if err != nil {
 		b.Fatal(err)
@@ -340,7 +338,8 @@ func benchDecode(b *testing.B, fn func(c *experiments.DecodeCorpus, it *experime
 	for i := 0; i < b.N; i++ {
 		for _, c := range cs {
 			for j := range c.Items {
-				if err := fn(c, &c.Items[j]); err != nil {
+				it := &c.Items[j]
+				if _, err := c.Table.DecodeWays(it.Payload, it.Starts, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -348,20 +347,4 @@ func benchDecode(b *testing.B, fn func(c *experiments.DecodeCorpus, it *experime
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
-}
-
-// BenchmarkDecodeLUT times the table-driven decode fast path.
-func BenchmarkDecodeLUT(b *testing.B) {
-	benchDecode(b, func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error {
-		_, err := c.Table.DecodeWays(it.Payload, it.Starts, 0, 0)
-		return err
-	})
-}
-
-// BenchmarkDecodeReference times the retained bit-by-bit decoder.
-func BenchmarkDecodeReference(b *testing.B) {
-	benchDecode(b, func(c *experiments.DecodeCorpus, it *experiments.DecodeItem) error {
-		_, err := c.Table.DecodeWaysRef(it.Payload, it.Starts, 0, 0)
-		return err
-	})
 }

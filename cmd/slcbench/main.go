@@ -33,7 +33,7 @@
 // (observable via the Store hit counters in -json output). -store-clear
 // empties the store first.
 //
-// -decodebench times the two entropy decoders (LUT, bit-by-bit reference)
+// -decodebench times the entropy decoder (the table-driven LUT decode)
 // over corpora sampled from every registered workload.
 // Alone it prints a per-workload table; combined with -json (with or
 // without another target) the timings land in the trajectory's Decode
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		parallel  = fs.Int("parallel", 1, "evaluation workers (0 = all cores, 1 = serial)")
 		simw      = fs.Int("simworkers", 1, "worker goroutines per sharded timing simulation (0 = all cores, 1 = serial engine)")
 		asJSON    = fs.Bool("json", false, "emit the executed cells as JSON instead of the text report (-all, -fig, -ablations, -matrix)")
-		decodeb   = fs.Bool("decodebench", false, "time the entropy decoders over per-workload corpora (text table, or the trajectory's Decode section with -json)")
+		decodeb   = fs.Bool("decodebench", false, "time the entropy decoder over per-workload corpora (text table, or the trajectory's Decode section with -json)")
 		simb      = fs.Bool("simbench", false, "time the event engine replaying every workload's trace (text table, or the trajectory's Sim section with -json)")
 		verbose   = fs.Bool("v", false, "log per-run progress to stderr")
 		store     = storeflag.RegisterOn(fs)
@@ -341,11 +341,9 @@ func printSimBenches(w io.Writer, sbench []experiments.SimBench) {
 // printDecodeBenches renders the -decodebench timings as a text table.
 func printDecodeBenches(w io.Writer, dbench []experiments.DecodeBench) {
 	fmt.Fprintf(w, "entropy decode (ns/block over sampled corpora)\n")
-	fmt.Fprintf(w, "  %-8s %7s %10s %10s %9s\n",
-		"workload", "blocks", "LUT", "reference", "speedup")
+	fmt.Fprintf(w, "  %-8s %7s %10s\n", "workload", "blocks", "LUT")
 	for _, d := range dbench {
-		fmt.Fprintf(w, "  %-8s %7d %10.1f %10.1f %8.2fx\n",
-			d.Workload, d.Blocks, d.LUTNsPerBlock, d.RefNsPerBlock, d.Speedup)
+		fmt.Fprintf(w, "  %-8s %7d %10.1f\n", d.Workload, d.Blocks, d.LUTNsPerBlock)
 	}
 }
 

@@ -47,7 +47,8 @@ func determinismScope(path string) bool {
 		strings.HasPrefix(path, "repro/internal/slc") ||
 		strings.HasPrefix(path, "repro/internal/pipeline") ||
 		strings.HasPrefix(path, "repro/internal/experiments") ||
-		strings.HasPrefix(path, "repro/internal/serving")
+		strings.HasPrefix(path, "repro/internal/serving") ||
+		strings.HasPrefix(path, "repro/internal/tables")
 }
 
 // seededConstructors are the math/rand functions that build an explicitly

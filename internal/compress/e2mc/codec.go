@@ -118,9 +118,10 @@ func (t *Table) EncodeWays(syms [compress.SymbolsPerBlock]uint16, skipStart, ski
 // span. The hot loop peeks a maxLen-bit window, looks the codeword up, and
 // skips its length — no interface dispatch and no per-symbol error check:
 // reads past the end of the stream yield zero bits, and the single Overrun
-// check afterwards errors exactly when the bit-by-bit reference decoder
-// would (a symbol that consumed a fabricated bit pushes the position past
-// the end, and the position never moves back).
+// check afterwards errors exactly when a bit-by-bit decoder would (a symbol
+// that consumed a fabricated bit pushes the position past the end, and the
+// position never moves back). FuzzDecodeLUT checks this against the
+// bit-by-bit reference decoder in the tests.
 //
 //slclint:allocfree
 func (t *Table) decodeSpan(r *compress.BitReader, lo, hi, skipStart, skipLen int, syms *[compress.SymbolsPerBlock]uint16) error {
@@ -149,16 +150,12 @@ func (t *Table) decodeSpan(r *compress.BitReader, lo, hi, skipStart, skipLen int
 	return nil
 }
 
-// DecodeWays reverses EncodeWays through the LUT fast path (falling back to
-// the reference decoder for tables too long-coded for a LUT). wayStart holds
+// DecodeWays reverses EncodeWays through the decode LUT. wayStart holds
 // the absolute byte offset of each way within payload; symbols inside the
 // skip span are left as zero for the caller (SLC) to fill by prediction.
 //
 //slclint:allocfree
 func (t *Table) DecodeWays(payload []byte, wayStart [PDWs]int, skipStart, skipLen int) ([compress.SymbolsPerBlock]uint16, error) {
-	if t.lut == nil {
-		return t.DecodeWaysRef(payload, wayStart, skipStart, skipLen)
-	}
 	var syms [compress.SymbolsPerBlock]uint16
 	var r compress.BitReader
 	for wy := 0; wy < PDWs; wy++ {
@@ -169,31 +166,6 @@ func (t *Table) DecodeWays(payload []byte, wayStart [PDWs]int, skipStart, skipLe
 		lo, hi := waySpan(wy)
 		if err := t.decodeSpan(&r, lo, hi, skipStart, skipLen, &syms); err != nil {
 			return syms, fmt.Errorf("e2mc: way %d: %w", wy, err) //slclint:allow allocfree cold error path, never hit by the alloc pin
-		}
-	}
-	return syms, nil
-}
-
-// DecodeWaysRef is the retained bit-by-bit reference decoder. The LUT path
-// must produce bitwise-identical output (and must error whenever it errors);
-// FuzzDecodeLUT cross-checks the two.
-func (t *Table) DecodeWaysRef(payload []byte, wayStart [PDWs]int, skipStart, skipLen int) ([compress.SymbolsPerBlock]uint16, error) {
-	var syms [compress.SymbolsPerBlock]uint16
-	for wy := 0; wy < PDWs; wy++ {
-		if wayStart[wy] < 0 || wayStart[wy] > len(payload) {
-			return syms, fmt.Errorf("e2mc: way %d starts at byte %d outside payload (%d bytes)", wy, wayStart[wy], len(payload))
-		}
-		r := compress.NewBitReader(payload[wayStart[wy]:])
-		lo, hi := waySpan(wy)
-		for i := lo; i < hi; i++ {
-			if i >= skipStart && i < skipStart+skipLen {
-				continue
-			}
-			s, err := t.decodeSymbol(r)
-			if err != nil {
-				return syms, fmt.Errorf("e2mc: way %d symbol %d: %w", wy, i, err)
-			}
-			syms[i] = s
 		}
 	}
 	return syms, nil

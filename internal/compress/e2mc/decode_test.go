@@ -36,9 +36,6 @@ func decodeTestTable(t *testing.T) *Table {
 
 func TestDecodeWaysLUTMatchesReference(t *testing.T) {
 	tab := decodeTestTable(t)
-	if tab.lut == nil {
-		t.Fatal("default table should have a decode LUT")
-	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		block := smoothFloatBlock(rng)
@@ -53,7 +50,7 @@ func TestDecodeWaysLUTMatchesReference(t *testing.T) {
 		}
 		ways, _ := tab.EncodeWays(syms, skipStart, skipLen)
 		payload, starts := buildPayload(ways)
-		ref, refErr := tab.DecodeWaysRef(payload, starts, skipStart, skipLen)
+		ref, refErr := tab.decodeWaysRef(payload, starts, skipStart, skipLen)
 		lut, lutErr := tab.DecodeWays(payload, starts, skipStart, skipLen)
 		if (refErr == nil) != (lutErr == nil) {
 			t.Fatalf("trial %d: refErr=%v lutErr=%v", trial, refErr, lutErr)
@@ -78,7 +75,7 @@ func TestDecodeWaysRejectsBadWayStart(t *testing.T) {
 		if _, err := tab.DecodeWays(payload, starts, 0, 0); err == nil {
 			t.Errorf("starts %v: LUT decode accepted bad way start", starts)
 		}
-		if _, err := tab.DecodeWaysRef(payload, starts, 0, 0); err == nil {
+		if _, err := tab.decodeWaysRef(payload, starts, 0, 0); err == nil {
 			t.Errorf("starts %v: reference decode accepted bad way start", starts)
 		}
 	}
@@ -103,8 +100,8 @@ func TestDecodeWaysAllocFree(t *testing.T) {
 	}
 }
 
-// FuzzDecodeLUT cross-checks the LUT decoder against the retained bit-by-bit
-// reference on arbitrary payloads: both must agree on error versus success,
+// FuzzDecodeLUT cross-checks the LUT decoder against the bit-by-bit
+// reference (ref_test.go) on arbitrary payloads: both must agree on error versus success,
 // and on the decoded symbols when both succeed; neither may panic or read
 // outside the payload.
 func FuzzDecodeLUT(f *testing.F) {
@@ -122,9 +119,6 @@ func FuzzDecodeLUT(f *testing.F) {
 	tab, err := tr.Build(0, 0)
 	if err != nil {
 		f.Fatal(err)
-	}
-	if tab.lut == nil {
-		f.Fatal("fuzz table should have a decode LUT")
 	}
 
 	// Seed with valid encodings so the fuzzer starts from decodable streams.
@@ -145,7 +139,7 @@ func FuzzDecodeLUT(f *testing.F) {
 			skipStart = int(ss) % (compress.SymbolsPerBlock - skipLen + 1)
 		}
 
-		ref, refErr := tab.DecodeWaysRef(payload, starts, skipStart, skipLen)
+		ref, refErr := tab.decodeWaysRef(payload, starts, skipStart, skipLen)
 		lut, lutErr := tab.DecodeWays(payload, starts, skipStart, skipLen)
 		if (refErr == nil) != (lutErr == nil) {
 			t.Fatalf("decoders disagree on validity: refErr=%v lutErr=%v", refErr, lutErr)

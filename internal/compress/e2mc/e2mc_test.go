@@ -250,6 +250,10 @@ func TestTrainerBuildTableSizeBound(t *testing.T) {
 		t.Errorf("table holds %d symbols, want ≤ 255", tab.Entries())
 	}
 	assertKraft(t, tab.codeLengths(), 12)
+	// Every table must have a decode LUT, which caps maxLen at lutMaxLen.
+	if _, err := tr.Build(256, lutMaxLen+1); err == nil {
+		t.Error("Build accepted maxLen 17")
+	}
 }
 
 func TestHeaderBitsAccounted(t *testing.T) {

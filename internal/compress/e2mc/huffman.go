@@ -99,33 +99,21 @@ func lengthLimitedCodeLengths(weights []uint64, maxLen int) ([]uint8, error) {
 // canonical holds a canonical Huffman code: deterministic codeword assignment
 // from code lengths alone, enabling compact decode tables.
 type canonical struct {
-	maxLen    int
-	codes     []uint32 // per item
-	lens      []uint8  // per item
-	count     []int    // count[l] = number of codes of length l
-	firstCode []uint32 // canonical first code value per length
-	firstIdx  []int    // index into ordered[] of the first code of length l
-	ordered   []int32  // items in canonical order
+	codes []uint32 // per item
+	lens  []uint8  // per item
 }
 
 // newCanonical assigns canonical codewords given per-item lengths.
 func newCanonical(lens []uint8, maxLen int) (*canonical, error) {
-	c := &canonical{
-		maxLen:    maxLen,
-		lens:      lens,
-		codes:     make([]uint32, len(lens)),
-		count:     make([]int, maxLen+1),
-		firstCode: make([]uint32, maxLen+2),
-		firstIdx:  make([]int, maxLen+2),
-		ordered:   make([]int32, 0, len(lens)),
-	}
+	c := &canonical{lens: lens, codes: make([]uint32, len(lens))}
+	count := make([]int, maxLen+1) // count[l] = number of codes of length l
 	for _, l := range lens {
-		c.count[l]++
+		count[l]++
 	}
 	// Kraft check.
 	kraft := uint64(0)
 	for l := 1; l <= maxLen; l++ {
-		kraft += uint64(c.count[l]) << uint(maxLen-l)
+		kraft += uint64(count[l]) << uint(maxLen-l)
 	}
 	if kraft > 1<<uint(maxLen) {
 		return nil, fmt.Errorf("e2mc: code lengths violate Kraft inequality (%d > %d)", kraft, uint64(1)<<uint(maxLen))
@@ -153,37 +141,7 @@ func newCanonical(lens []uint8, maxLen int) (*canonical, error) {
 			prevLen = it.len
 		}
 		c.codes[it.item] = code
-		c.ordered = append(c.ordered, it.item)
 		code++
 	}
-	// first code / first index per length.
-	code = 0
-	idx := 0
-	for l := 1; l <= maxLen; l++ {
-		code <<= 1
-		c.firstCode[l] = code
-		c.firstIdx[l] = idx
-		code += uint32(c.count[l])
-		idx += c.count[l]
-	}
 	return c, nil
-}
-
-// decode reads one canonical codeword from r and returns the item, walking
-// the stream one bit at a time through the interface-typed reader. This is
-// the retained reference decoder: the LUT fast path (table.go) must stay
-// bitwise-equivalent to it, which the FuzzDecodeLUT target cross-checks.
-func (c *canonical) decode(r interface{ ReadBits(int) (uint64, error) }) (int32, error) {
-	code := uint32(0)
-	for l := 1; l <= c.maxLen; l++ {
-		b, err := r.ReadBits(1)
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | uint32(b)
-		if c.count[l] > 0 && code-c.firstCode[l] < uint32(c.count[l]) {
-			return c.ordered[c.firstIdx[l]+int(code-c.firstCode[l])], nil
-		}
-	}
-	return 0, fmt.Errorf("e2mc: invalid codeword")
 }

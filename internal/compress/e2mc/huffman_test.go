@@ -136,8 +136,9 @@ func TestCanonicalDecodeRoundTrip(t *testing.T) {
 		w.WriteBits(uint64(c.codes[seq[i]]), int(c.lens[seq[i]]))
 	}
 	r := compress.NewBitReader(w.Bytes())
+	d := newRefDecoder(c, 10)
 	for i, want := range seq {
-		got, err := c.decode(r)
+		got, err := d.decode(r)
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}

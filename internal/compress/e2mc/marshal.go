@@ -50,8 +50,8 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("e2mc: table record version %d, want %d", data[0], tableWireVersion)
 	}
 	maxLen := int(data[1])
-	if maxLen < 1 || maxLen > 32 {
-		return fmt.Errorf("e2mc: table record maxLen %d out of range", maxLen)
+	if maxLen < 1 || maxLen > lutMaxLen {
+		return fmt.Errorf("e2mc: table record maxLen %d out of [1, %d]", maxLen, lutMaxLen)
 	}
 	n := int(binary.LittleEndian.Uint32(data[2:]))
 	if n < 1 || n > 1<<16 {

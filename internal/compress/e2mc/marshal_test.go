@@ -83,6 +83,9 @@ func TestTableUnmarshalRejectsCorruption(t *testing.T) {
 		// cosmetics — these bytes arrive over the network via slcd).
 		"zero maxlen":      mutate(1, 0),
 		"oversized maxlen": mutate(1, 255),
+		// One past lutMaxLen: every table must have a decode LUT, and this
+		// record is otherwise valid (its code lengths are all ≤ 15).
+		"maxlen 17": mutate(1, lutMaxLen+1),
 		// Declared entry count inconsistent with the payload length.
 		"huge n": mutate(5, 0xff),
 	}

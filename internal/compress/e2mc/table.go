@@ -30,7 +30,7 @@ const (
 // lut entry packs sym<<16 | escapeFlag | codeLen; entry 0 (code length 0)
 // marks a bit pattern no codeword prefixes.
 const (
-	lutMaxLen  = 16     // largest maxLen we build a LUT for (64K entries)
+	lutMaxLen  = 16     // largest maxLen a table or codebook accepts (64K-entry LUT)
 	lutLenMask = 0x7f   // code length bits of a lut entry
 	lutEscape  = 1 << 7 // set when the codeword is the escape code
 	lutSymbol  = 16     // shift of the decoded symbol value
@@ -61,13 +61,17 @@ func (t *Trainer) SampleCount() uint64 { return t.total }
 
 // Build constructs the Huffman table from the sampled statistics. maxSymbols
 // (including the escape entry) and maxLen bound the table size and codeword
-// length; zero values select the defaults.
+// length; zero values select the defaults. maxLen is capped at lutMaxLen so
+// the decode LUT always exists.
 func (t *Trainer) Build(maxSymbols, maxLen int) (*Table, error) {
 	if maxSymbols == 0 {
 		maxSymbols = DefaultMaxSymbols
 	}
 	if maxLen == 0 {
 		maxLen = DefaultMaxCodeLen
+	}
+	if maxLen < 1 || maxLen > lutMaxLen {
+		return nil, fmt.Errorf("e2mc: table maxLen %d out of [1, %d]", maxLen, lutMaxLen)
 	}
 	if maxSymbols < 2 {
 		return nil, fmt.Errorf("e2mc: need at least 2 table entries, got %d", maxSymbols)
@@ -150,18 +154,12 @@ type Table struct {
 	escLen  uint8
 	lenOf   []uint8  // symbol value → code length (0 if escaped)
 	itemOf  []int32  // symbol value → item index (-1 if escaped)
-	lut     []uint32 // 1<<maxLen decode entries; nil when maxLen > lutMaxLen
+	lut     []uint32 // 1<<maxLen decode entries
 }
 
 // buildLUT fills the decode lookup table: for each codeword, every maxLen-bit
-// window it prefixes maps to its packed (symbol, length) entry. Tables with
-// maxLen beyond lutMaxLen keep lut nil and decode through the bit-by-bit
-// reference path.
+// window it prefixes maps to its packed (symbol, length) entry.
 func (t *Table) buildLUT() {
-	if t.maxLen > lutMaxLen {
-		t.lut = nil
-		return
-	}
 	lut := make([]uint32, 1<<uint(t.maxLen))
 	for item, l := range t.canon.lens {
 		if l == 0 {
@@ -207,22 +205,6 @@ func (t *Table) encodeSymbol(w *compress.BitWriter, sym uint16) {
 	}
 	w.WriteBits(uint64(t.canon.codes[t.escItem]), int(t.escLen))
 	w.WriteBits(uint64(sym), escapeRawBits)
-}
-
-// decodeSymbol reads one symbol through the bit-by-bit reference path.
-func (t *Table) decodeSymbol(r *compress.BitReader) (uint16, error) {
-	item, err := t.canon.decode(r)
-	if err != nil {
-		return 0, err
-	}
-	if item == t.escItem {
-		raw, err := r.ReadBits(escapeRawBits)
-		if err != nil {
-			return 0, err
-		}
-		return uint16(raw), nil
-	}
-	return t.syms[item], nil
 }
 
 // codeLengths exposes the per-item lengths for tests (Kraft checks).

@@ -97,14 +97,12 @@ func BuildDecodeCorpus(r *Runner, w workloads.Workload, maxBlocks int) (*DecodeC
 }
 
 // DecodeBench is the measured decode performance for one workload, recorded
-// in the bench trajectory when `slcbench -decodebench` is given. All times
-// are nanoseconds per 128-byte block; Speedup is reference over LUT.
+// in the bench trajectory when `slcbench -decodebench` is given. The time
+// is nanoseconds per 128-byte block.
 type DecodeBench struct {
 	Workload      string
 	Blocks        int
 	LUTNsPerBlock float64
-	RefNsPerBlock float64
-	Speedup       float64
 }
 
 // timeNsPerBlock drives fn over the corpus repeatedly until the measurement
@@ -131,25 +129,15 @@ func timeNsPerBlock(items []DecodeItem, fn func(*DecodeItem) error) (float64, er
 	return float64(elapsed.Nanoseconds()) / float64(blocks), nil
 }
 
-// MeasureDecode times the two decoders over one corpus.
+// MeasureDecode times the LUT decoder over one corpus.
 func MeasureDecode(c *DecodeCorpus) (DecodeBench, error) {
 	b := DecodeBench{Workload: c.Workload, Blocks: len(c.Items)}
-	tab := c.Table
 	var err error
 	if b.LUTNsPerBlock, err = timeNsPerBlock(c.Items, func(it *DecodeItem) error {
-		_, derr := tab.DecodeWays(it.Payload, it.Starts, 0, 0)
+		_, derr := c.Table.DecodeWays(it.Payload, it.Starts, 0, 0)
 		return derr
 	}); err != nil {
-		return b, fmt.Errorf("decode bench %s: LUT: %w", c.Workload, err)
-	}
-	if b.RefNsPerBlock, err = timeNsPerBlock(c.Items, func(it *DecodeItem) error {
-		_, derr := tab.DecodeWaysRef(it.Payload, it.Starts, 0, 0)
-		return derr
-	}); err != nil {
-		return b, fmt.Errorf("decode bench %s: reference: %w", c.Workload, err)
-	}
-	if b.LUTNsPerBlock > 0 {
-		b.Speedup = b.RefNsPerBlock / b.LUTNsPerBlock
+		return b, fmt.Errorf("decode bench %s: %w", c.Workload, err)
 	}
 	return b, nil
 }

@@ -36,8 +36,8 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/resultstore"
-	"repro/internal/serving"
 	"repro/internal/slc"
+	"repro/internal/tables"
 	"repro/internal/workloads"
 )
 
@@ -157,14 +157,15 @@ func cellKey(workload string, cfg Config) string { return workload + "|" + cfg.N
 // usable; call NewRunner.
 type Runner struct {
 	golden  flight.Group[[]float64]
-	tables  serving.TableCache
+	tables  tables.Cache
 	results flight.Group[RunResult]
 
 	// Store, when non-nil, persists memoised computations to disk,
 	// content-addressed by workload, configuration and code fingerprint
 	// (see store.go). Each singleflight slot then resolves memory hit →
-	// disk hit → compute; a populated store makes a repeated invocation
-	// recompute nothing and return bitwise-identical results.
+	// disk hit → compute through resultstore.Memo; a populated store makes
+	// a repeated invocation recompute nothing and return bitwise-identical
+	// results.
 	Store *resultstore.Store
 
 	// SyncWorkers, when > 1, parallelises block compression inside each
@@ -187,9 +188,8 @@ type Runner struct {
 // NewRunner returns an empty runner.
 func NewRunner() *Runner {
 	r := &Runner{}
-	// The runner is a thin client of the serving tier's builder cache: table
-	// training and codec construction live in internal/serving, shared with
-	// the slcd daemon. Store is read through a closure so assigning
+	// Table training and codec construction live in tables.Cache, shared
+	// with the slcd daemon. Store is read through a closure so assigning
 	// Runner.Store after construction (the storeflag pattern) is seen.
 	r.tables.Store = func() *resultstore.Store { return r.Store }
 	r.tables.Progress = r.progress
@@ -208,45 +208,23 @@ func (r *Runner) progress(format string, args ...interface{}) {
 func (r *Runner) Golden(w workloads.Workload) ([]float64, error) {
 	name := w.Info().Name
 	return r.golden.Do(name, func() ([]float64, error) {
-		key, usable := r.storeKey(kindGolden, goldenMaterial(w))
-		if usable {
-			var out []float64
-			if hit, err := r.Store.GetGob(key, &out); err != nil {
-				return nil, fmt.Errorf("golden %s: store: %w", name, err)
-			} else if hit {
-				return out, nil
+		return resultstore.Memo(r.Store, kindGolden, goldenMaterial(w), resultstore.Gob[[]float64](), r.progress, func() ([]float64, error) {
+			r.progress("golden run: %s", name)
+			out, err := w.Run(workloads.NewCtx(device.New(), nil, nil))
+			if err != nil {
+				return nil, fmt.Errorf("golden %s: %w", name, err)
 			}
-		}
-		r.progress("golden run: %s", name)
-		ctx := workloads.NewCtx(device.New(), nil, nil)
-		out, err := w.Run(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("golden %s: %w", name, err)
-		}
-		if usable {
-			r.storePut(func() error { return r.Store.PutGob(key, kindGolden, out) }, kindGolden)
-		}
-		return out, nil
+			return out, nil
+		})
 	})
 }
 
 // Table returns the workload's E2MC table, trained by sampling the device
 // image at every region synchronisation — the online-sampling substitute.
-// The work happens in the shared serving.TableCache: memory hit → store hit
-// → train, in a singleflight slot per workload.
+// The work happens in the shared tables.Cache: memory hit → store hit →
+// train, in a singleflight slot per workload.
 func (r *Runner) Table(w workloads.Workload) (*e2mc.Table, error) {
 	return r.tables.Table(w)
-}
-
-// TableStats returns the builder cache's traffic counters (requests,
-// retrains, disk hits).
-func (r *Runner) TableStats() serving.TableStats { return r.tables.Stats() }
-
-// codecs builds the lossless and lossy codecs of a configuration from the
-// registry. Identity codecs (the raw baseline) yield a nil pair; lossy
-// codecs additionally build their lossless base for exact regions.
-func (r *Runner) codecs(w workloads.Workload, cfg Config) (lossless, lossy compress.Codec, err error) {
-	return r.tables.Codecs(w, cfg.Codec, cfg.MAG, cfg.ThresholdBits, cfg.ErrorBound)
 }
 
 // SimConfig derives the simulator configuration for a compression
@@ -276,108 +254,94 @@ func (r *Runner) newPipeline(dev *device.Device, cfg Config, lossless, lossy com
 }
 
 // Run executes one evaluation cell (memoised; concurrent calls for the same
-// cell compute once).
+// cell compute once). A store hit short-circuits everything, including the
+// golden run and table training the cell would otherwise request.
 func (r *Runner) Run(w workloads.Workload, cfg Config) (RunResult, error) {
-	info := w.Info()
-	key := cellKey(info.Name, cfg)
-	return r.results.Do(key, func() (RunResult, error) {
-		// Disk hit short-circuits everything, including the golden run and
-		// table training the cell would otherwise request.
-		dkey, usable := r.storeKey(kindCell, r.cellMaterial(w, cfg))
-		if usable {
-			var cached RunResult
-			if hit, err := r.Store.GetJSON(dkey, &cached); err != nil {
-				return RunResult{}, fmt.Errorf("%s × %s: store: %w", info.Name, cfg.Name, err)
-			} else if hit {
-				return cached, nil
-			}
-		}
-		golden, err := r.Golden(w)
-		if err != nil {
-			return RunResult{}, err
-		}
-		lossless, lossy, err := r.codecs(w, cfg)
-		if err != nil {
-			return RunResult{}, err
-		}
-		r.progress("run: %s × %s", info.Name, cfg.Name)
-
-		dev := device.New()
-		pl, err := r.newPipeline(dev, cfg, lossless, lossy)
-		if err != nil {
-			return RunResult{}, err
-		}
-		rec := trace.NewRecorder(pl.BurstsFor)
-		out, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
-		if err != nil {
-			return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
-		}
-		errFrac, err := metrics.Eval(info.Metric, golden, out)
-		if err != nil {
-			return RunResult{}, err
-		}
-		tr := rec.Trace()
-		sc := SimConfig(cfg)
-		sc.Workers = r.SimWorkers
-		simRes, err := sim.Run(tr, sc)
-		if err != nil {
-			return RunResult{}, err
-		}
-		energy, err := power.Compute(simRes, power.Default())
-		if err != nil {
-			return RunResult{}, err
-		}
-		res := RunResult{
-			Workload:  info.Name,
-			Config:    cfg,
-			ErrorFrac: errFrac,
-			Sim:       simRes,
-			Energy:    energy,
-			Comp:      pl.Stats(),
-			Trace:     tr.Stats(cfg.MAG),
-		}
-		if usable {
-			r.storePut(func() error { return r.Store.PutJSON(dkey, kindCell, res) }, kindCell)
-		}
-		return res, nil
+	return r.results.Do(cellKey(w.Info().Name, cfg), func() (RunResult, error) {
+		return resultstore.Memo(r.Store, kindCell, r.cellMaterial(w, cfg), resultstore.JSON[RunResult](), r.progress, func() (RunResult, error) {
+			return r.run(w, cfg)
+		})
 	})
+}
+
+// run computes one evaluation cell: golden run, compressed run with error
+// measurement, timing simulation and energy.
+func (r *Runner) run(w workloads.Workload, cfg Config) (RunResult, error) {
+	info := w.Info()
+	golden, err := r.Golden(w)
+	if err != nil {
+		return RunResult{}, err
+	}
+	lossless, lossy, err := RunnerCodecs(r, w, cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	r.progress("run: %s × %s", info.Name, cfg.Name)
+
+	dev := device.New()
+	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
+	if err != nil {
+		return RunResult{}, err
+	}
+	rec := trace.NewRecorder(pl.BurstsFor)
+	out, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
+	if err != nil {
+		return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
+	}
+	errFrac, err := metrics.Eval(info.Metric, golden, out)
+	if err != nil {
+		return RunResult{}, err
+	}
+	tr := rec.Trace()
+	sc := SimConfig(cfg)
+	sc.Workers = r.SimWorkers
+	simRes, err := sim.Run(tr, sc)
+	if err != nil {
+		return RunResult{}, err
+	}
+	energy, err := power.Compute(simRes, power.Default())
+	if err != nil {
+		return RunResult{}, err
+	}
+	return RunResult{
+		Workload:  info.Name,
+		Config:    cfg,
+		ErrorFrac: errFrac,
+		Sim:       simRes,
+		Energy:    energy,
+		Comp:      pl.Stats(),
+		Trace:     tr.Stats(cfg.MAG),
+	}, nil
 }
 
 // CompressionOnly runs the workload under a configuration without the timing
 // simulation — enough for Figures 1 and 2.
 func (r *Runner) CompressionOnly(w workloads.Workload, cfg Config) (pipeline.Stats, error) {
-	info := w.Info()
-	key := cellKey(info.Name, cfg) + "|comp"
-	res, err := r.results.Do(key, func() (RunResult, error) {
-		dkey, usable := r.storeKey(kindComp, compMaterial(w, cfg))
-		if usable {
-			var cached RunResult
-			if hit, err := r.Store.GetJSON(dkey, &cached); err != nil {
-				return RunResult{}, fmt.Errorf("%s × %s: store: %w", info.Name, cfg.Name, err)
-			} else if hit {
-				return cached, nil
-			}
-		}
-		lossless, lossy, err := r.codecs(w, cfg)
-		if err != nil {
-			return RunResult{}, err
-		}
-		r.progress("compress: %s × %s", info.Name, cfg.Name)
-		dev := device.New()
-		pl, err := r.newPipeline(dev, cfg, lossless, lossy)
-		if err != nil {
-			return RunResult{}, err
-		}
-		if _, err := w.Run(workloads.NewCtx(dev, nil, pl.Sync)); err != nil {
-			return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
-		}
-		out := RunResult{Workload: info.Name, Config: cfg, Comp: pl.Stats()}
-		if usable {
-			r.storePut(func() error { return r.Store.PutJSON(dkey, kindComp, out) }, kindComp)
-		}
-		return out, nil
+	res, err := r.results.Do(cellKey(w.Info().Name, cfg)+"|comp", func() (RunResult, error) {
+		return resultstore.Memo(r.Store, kindComp, compMaterial(w, cfg), resultstore.JSON[RunResult](), r.progress, func() (RunResult, error) {
+			return r.compressOnly(w, cfg)
+		})
 	})
 	return res.Comp, err
+}
+
+// compressOnly computes one compression-only cell.
+func (r *Runner) compressOnly(w workloads.Workload, cfg Config) (RunResult, error) {
+	info := w.Info()
+	lossless, lossy, err := RunnerCodecs(r, w, cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	r.progress("compress: %s × %s", info.Name, cfg.Name)
+	dev := device.New()
+	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
+	if err != nil {
+		return RunResult{}, err
+	}
+	if _, err := w.Run(workloads.NewCtx(dev, nil, pl.Sync)); err != nil {
+		return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
+	}
+	return RunResult{Workload: info.Name, Config: cfg, Comp: pl.Stats()}, nil
 }
 
 // Cell is one entry of an evaluation matrix: a workload under a
@@ -561,17 +525,20 @@ func EvaluationCells() []Cell {
 	return cells
 }
 
-// RunnerCodecs exposes the runner's codec construction (including table
-// training) to external tools such as slctrace.
+// RunnerCodecs builds the lossless and lossy codecs of a configuration from
+// the registry, training any entropy table through the runner's cache.
+// Identity codecs (the raw baseline) yield a nil pair; lossy codecs
+// additionally build their lossless base for exact regions. External tools
+// such as slctrace use it too.
 func RunnerCodecs(r *Runner, w workloads.Workload, cfg Config) (lossless, lossy compress.Codec, err error) {
-	return r.codecs(w, cfg)
+	return r.tables.Codecs(w, cfg.Codec, cfg.MAG, cfg.ThresholdBits, cfg.ErrorBound)
 }
 
 // RerunTiming re-simulates a previously executed configuration with a
 // modified simulator configuration; used by calibration experiments and
 // ablations.
 func RerunTiming(r *Runner, w workloads.Workload, cfg Config, mod func(*sim.Config)) (sim.Result, error) {
-	lossless, lossy, err := r.codecs(w, cfg)
+	lossless, lossy, err := RunnerCodecs(r, w, cfg)
 	if err != nil {
 		return sim.Result{}, err
 	}

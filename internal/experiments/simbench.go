@@ -51,7 +51,7 @@ type SimBench struct {
 // simBenchTrace records the workload's trace under the given configuration,
 // exactly as a Runner cell would (same pipeline, same burst geometry).
 func simBenchTrace(r *Runner, w workloads.Workload, cfg Config) (*trace.Trace, sim.Config, error) {
-	lossless, lossy, err := r.codecs(w, cfg)
+	lossless, lossy, err := RunnerCodecs(r, w, cfg)
 	if err != nil {
 		return nil, sim.Config{}, err
 	}

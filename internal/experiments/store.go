@@ -6,20 +6,20 @@ import (
 )
 
 // Disk persistence of memoised Runner computations. When Runner.Store is
-// set, every singleflight slot resolves memory hit → disk hit → compute:
-// the first request for a key consults the store before computing, and a
-// computed value is written back so later processes (and CI runs sharing a
-// cached store directory) skip the work entirely. Keys are content
-// addresses over everything that determines the value — the workload's
-// generated-input fingerprint, the full configuration, the derived
-// simulator configuration (including Workers, per the store's
-// "any knob in the key" rule) — plus the store's schema version and code
-// fingerprint (resultstore.NewKey), so any change recomputes instead of
-// serving stale records.
+// set, every singleflight slot resolves memory hit → disk hit → compute
+// through resultstore.Memo: the first request for a key consults the store
+// before computing, and a computed value is written back so later
+// processes (and CI runs sharing a cached store directory) skip the work
+// entirely. Keys are content addresses over everything that determines the
+// value — the workload's generated-input fingerprint, the full
+// configuration, the derived simulator configuration (including Workers,
+// per the store's "any knob in the key" rule) — plus the store's schema
+// version and code fingerprint (resultstore.NewKey), so any change
+// recomputes instead of serving stale records.
 
-// Store record kinds. The trained-table kind and material moved to
-// internal/serving with the builder cache (byte-identical key material, so
-// existing stores keep hitting).
+// Store record kinds. The trained-table kind and material live with the
+// table cache in internal/tables (byte-identical key material, so existing
+// stores keep hitting).
 const (
 	kindGolden = "golden"
 	kindCell   = "cell"
@@ -50,30 +50,6 @@ func compMaterial(w workloads.Workload, cfg Config) resultstore.Material {
 	return resultstore.Material{
 		"workload": workloads.Fingerprint(w),
 		"config":   cfg,
-	}
-}
-
-// storeKey derives a key, reporting false when no store is attached (or the
-// material fails to encode, which is a programming error surfaced via
-// progress rather than a run failure).
-func (r *Runner) storeKey(kind string, m resultstore.Material) (resultstore.Key, bool) {
-	if r.Store == nil {
-		return resultstore.Key{}, false
-	}
-	key, err := r.Store.Key(kind, m)
-	if err != nil {
-		r.progress("store: keying %s failed: %v", kind, err)
-		return resultstore.Key{}, false
-	}
-	return key, true
-}
-
-// storePut writes a computed value back to the store, best-effort: a full
-// disk or unwritable directory must not fail the run that just computed a
-// perfectly good result.
-func (r *Runner) storePut(put func() error, kind string) {
-	if err := put(); err != nil {
-		r.progress("store: writing %s record failed: %v", kind, err)
 	}
 }
 

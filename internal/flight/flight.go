@@ -2,7 +2,7 @@
 // requests for the same key compute the value exactly once while the rest
 // wait, and the computed value (or error) is retained for every later
 // request. It is the concurrency backbone shared by the experiment Runner's
-// golden/table/result memos and the serving tier's builder caches.
+// golden/result memos, the table cache and the serving tier's codec cache.
 package flight
 
 import (
@@ -52,23 +52,6 @@ func (g *Group[T]) Do(key string, fn func() (T, error)) (T, error) {
 	}()
 	c.val, c.err = fn()
 	return c.val, c.err
-}
-
-// Cached returns the completed value for key without computing anything:
-// ok reports whether a computation for key has finished (with any outcome).
-func (g *Group[T]) Cached(key string) (val T, err error, ok bool) {
-	g.mu.Lock()
-	c, present := g.m[key]
-	g.mu.Unlock()
-	if !present {
-		return val, nil, false
-	}
-	select {
-	case <-c.done:
-		return c.val, c.err, true
-	default:
-		return val, nil, false
-	}
 }
 
 // Len returns the number of keys ever requested (completed or in flight).

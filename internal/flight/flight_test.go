@@ -85,15 +85,3 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 		t.Fatal("post-panic Do returned nil error")
 	}
 }
-
-func TestCached(t *testing.T) {
-	var g Group[int]
-	if _, _, ok := g.Cached("k"); ok {
-		t.Fatal("Cached reported an unrequested key")
-	}
-	g.Do("k", func() (int, error) { return 7, nil })
-	v, err, ok := g.Cached("k")
-	if !ok || err != nil || v != 7 {
-		t.Fatalf("Cached = (%d, %v, %v), want (7, nil, true)", v, err, ok)
-	}
-}

@@ -23,7 +23,6 @@ package resultstore
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -154,35 +153,35 @@ type recordHeader struct {
 // truncated record is a miss (corrupt files are deleted so the next Put
 // rewrites them); ok reports whether a valid payload was found.
 func (s *Store) GetBytes(k Key) (payload []byte, ok bool, err error) {
-	payload, _, ok, err = s.get(k)
+	payload, ok, err = s.get(k)
 	if ok {
 		s.hit(k)
 	}
 	return payload, ok, err
 }
 
-// get fetches and validates a record without counting a hit: the typed
-// getters only count once their decode succeeds, so the hit/miss counters
-// mean exactly "the caller did not recompute".
-func (s *Store) get(k Key) ([]byte, recordHeader, bool, error) {
+// get fetches and validates a record without counting a hit: Get only
+// counts once its decode succeeds, so the hit/miss counters mean exactly
+// "the caller did not recompute".
+func (s *Store) get(k Key) ([]byte, bool, error) {
 	data, err := os.ReadFile(s.objectPath(k))
 	if err != nil {
 		s.misses.Add(1)
 		if os.IsNotExist(err) {
-			return nil, recordHeader{}, false, nil
+			return nil, false, nil
 		}
-		return nil, recordHeader{}, false, fmt.Errorf("resultstore: reading %s: %w", k, err)
+		return nil, false, fmt.Errorf("resultstore: reading %s: %w", k, err)
 	}
-	payload, hdr, err := decodeRecord(data)
+	payload, err := decodeRecord(data)
 	if err != nil {
 		// Corrupt or truncated: drop the file and report a miss; the caller
 		// recomputes and Put rewrites a good record.
 		s.bad.Add(1)
 		s.misses.Add(1)
 		os.Remove(s.objectPath(k))
-		return nil, recordHeader{}, false, nil
+		return nil, false, nil
 	}
-	return payload, hdr, true, nil
+	return payload, true, nil
 }
 
 // hit records a successful, fully decoded read.
@@ -201,27 +200,27 @@ func (s *Store) decodeFailed(k Key) {
 }
 
 // decodeRecord splits and validates one record file.
-func decodeRecord(data []byte) ([]byte, recordHeader, error) {
+func decodeRecord(data []byte) ([]byte, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return nil, recordHeader{}, fmt.Errorf("resultstore: record has no header line")
+		return nil, fmt.Errorf("resultstore: record has no header line")
 	}
 	var hdr recordHeader
 	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, recordHeader{}, fmt.Errorf("resultstore: bad record header: %w", err)
+		return nil, fmt.Errorf("resultstore: bad record header: %w", err)
 	}
 	if hdr.V != SchemaVersion {
-		return nil, recordHeader{}, fmt.Errorf("resultstore: record schema v%d, want v%d", hdr.V, SchemaVersion)
+		return nil, fmt.Errorf("resultstore: record schema v%d, want v%d", hdr.V, SchemaVersion)
 	}
 	payload := data[nl+1:]
 	if len(payload) != hdr.Len {
-		return nil, recordHeader{}, fmt.Errorf("resultstore: truncated record: %d payload bytes, header says %d", len(payload), hdr.Len)
+		return nil, fmt.Errorf("resultstore: truncated record: %d payload bytes, header says %d", len(payload), hdr.Len)
 	}
 	sum := sha256.Sum256(payload)
 	if hex.EncodeToString(sum[:]) != hdr.SHA256 {
-		return nil, recordHeader{}, fmt.Errorf("resultstore: payload checksum mismatch")
+		return nil, fmt.Errorf("resultstore: payload checksum mismatch")
 	}
-	return payload, hdr, nil
+	return payload, nil
 }
 
 // PutBytes writes a record atomically and updates the index (evicting LRU
@@ -278,54 +277,6 @@ func atomicWrite(path string, data []byte) error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	return nil
-}
-
-// GetJSON decodes a JSON record into v; ok reports a valid hit.
-func (s *Store) GetJSON(k Key, v any) (ok bool, err error) {
-	payload, _, ok, err := s.get(k)
-	if err != nil || !ok {
-		return false, err
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		s.decodeFailed(k)
-		return false, nil
-	}
-	s.hit(k)
-	return true, nil
-}
-
-// PutJSON writes v as a JSON record.
-func (s *Store) PutJSON(k Key, kind string, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("resultstore: encoding %s record: %w", kind, err)
-	}
-	return s.PutBytes(k, kind, "json", payload)
-}
-
-// GetGob decodes a gob record into v (which must be a pointer); ok reports
-// a valid hit. Gob preserves float64 values bitwise, which JSON formatting
-// cannot guarantee for NaN/Inf, so golden outputs use it.
-func (s *Store) GetGob(k Key, v any) (ok bool, err error) {
-	payload, _, ok, err := s.get(k)
-	if err != nil || !ok {
-		return false, err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		s.decodeFailed(k)
-		return false, nil
-	}
-	s.hit(k)
-	return true, nil
-}
-
-// PutGob writes v as a gob record.
-func (s *Store) PutGob(k Key, kind string, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("resultstore: encoding %s record: %w", kind, err)
-	}
-	return s.PutBytes(k, kind, "gob", buf.Bytes())
 }
 
 // Clear removes every record and the index, leaving an empty, usable store.

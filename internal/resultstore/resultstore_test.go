@@ -104,15 +104,13 @@ func TestStoreRoundTripAndStats(t *testing.T) {
 	}
 	want := rec{"tp", []float64{1.5, -0.25, 3e-300}}
 
-	var missed rec
-	if ok, err := s.GetJSON(key, &missed); err != nil || ok {
+	if _, ok, err := Get(s, key, JSON[rec]()); err != nil || ok {
 		t.Fatalf("get before put: ok=%v err=%v", ok, err)
 	}
-	if err := s.PutJSON(key, "cell", want); err != nil {
+	if err := Put(s, key, "cell", JSON[rec](), want); err != nil {
 		t.Fatal(err)
 	}
-	var got rec
-	if ok, err := s.GetJSON(key, &got); err != nil || !ok {
+	if got, ok, err := Get(s, key, JSON[rec]()); err != nil || !ok {
 		t.Fatalf("get after put: ok=%v err=%v", ok, err)
 	} else if got.Name != want.Name || len(got.Vals) != 3 || got.Vals[2] != want.Vals[2] {
 		t.Errorf("round trip mangled record: %+v", got)
@@ -120,11 +118,11 @@ func TestStoreRoundTripAndStats(t *testing.T) {
 
 	gkey, _ := s.Key("golden", Material{"w": "tp"})
 	golden := []float64{1, 2.5, -7}
-	if err := s.PutGob(gkey, "golden", golden); err != nil {
+	if err := Put(s, gkey, "golden", Gob[[]float64](), golden); err != nil {
 		t.Fatal(err)
 	}
-	var gout []float64
-	if ok, err := s.GetGob(gkey, &gout); err != nil || !ok {
+	gout, ok, err := Get(s, gkey, Gob[[]float64]())
+	if err != nil || !ok {
 		t.Fatalf("gob get: ok=%v err=%v", ok, err)
 	}
 	for i := range golden {
@@ -174,8 +172,7 @@ func TestCorruptRecordsAreMissesNotTrusted(t *testing.T) {
 			if err := os.WriteFile(path, corrupt(data), 0o666); err != nil {
 				t.Fatal(err)
 			}
-			var out struct{ Name string }
-			ok, err := s.GetJSON(key, &out)
+			out, ok, err := Get(s, key, JSON[struct{ Name string }]())
 			if err != nil {
 				t.Fatalf("corrupt record returned error instead of miss: %v", err)
 			}
@@ -192,7 +189,7 @@ func TestCorruptRecordsAreMissesNotTrusted(t *testing.T) {
 			if err := s.PutBytes(key, "cell", "json", payload); err != nil {
 				t.Fatal(err)
 			}
-			if ok, err := s.GetJSON(key, &out); err != nil || !ok || out.Name != "good" {
+			if out, ok, err := Get(s, key, JSON[struct{ Name string }]()); err != nil || !ok || out.Name != "good" {
 				t.Fatalf("recompute-then-reread failed: ok=%v err=%v out=%+v", ok, err, out)
 			}
 		})
@@ -207,8 +204,7 @@ func TestUndecodableJSONIsMiss(t *testing.T) {
 	if err := s.PutBytes(key, "cell", "json", []byte(`{"Name": ["wrong","shape"]}`)); err != nil {
 		t.Fatal(err)
 	}
-	var out struct{ Name string }
-	if ok, err := s.GetJSON(key, &out); err != nil || ok {
+	if _, ok, err := Get(s, key, JSON[struct{ Name string }]()); err != nil || ok {
 		t.Fatalf("undecodable payload: ok=%v err=%v", ok, err)
 	}
 	// The counters must reflect that the caller will recompute: a decode

@@ -1,3 +1,8 @@
+// Package serving is the reusable serving core behind cmd/slcd, the
+// streaming compression daemon: codec construction over the registry with a
+// per-codec builder cache (trained e2mc tables come from the shared
+// tables.Cache), block batch execution with bounded in-flight admission,
+// per-request timeouts, graceful drain and Prometheus-style metrics.
 package serving
 
 import (
@@ -16,8 +21,14 @@ import (
 	"repro/internal/gpu/device"
 	"repro/internal/pipeline"
 	"repro/internal/resultstore"
+	"repro/internal/tables"
 	"repro/internal/workloads"
 )
+
+// TableCache is the table cache's name from before it moved to package
+// tables. Only perfbench still uses it; delete it with perfbench's next
+// change.
+type TableCache = tables.Cache
 
 // Sentinel errors the transport layer maps to HTTP statuses.
 var (
@@ -57,7 +68,7 @@ type Config struct {
 const DefaultMaxInFlight = 64
 
 // Core is the transport-independent serving engine behind slcd: codec
-// resolution over the registry (with the table builder cache), bounded
+// resolution over the registry (with the shared table cache), bounded
 // admission, and batch execution. Safe for concurrent use.
 type Core struct {
 	workers int
@@ -65,7 +76,7 @@ type Core struct {
 
 	// Tables resolves trained entropy tables; exported so the daemon can
 	// attach a result store and tests can read the retrain counters.
-	Tables TableCache
+	Tables tables.Cache
 
 	codecs   flight.Group[codecPair]
 	draining atomic.Bool
@@ -90,7 +101,7 @@ func NewCore(cfg Config) *Core {
 	return c
 }
 
-// SetStore attaches the result store consulted by the table builder cache
+// SetStore attaches the result store consulted by the table cache
 // (nil detaches). Safe to call while serving.
 func (c *Core) SetStore(st *resultstore.Store) { c.store.Store(st) }
 

@@ -186,54 +186,6 @@ func TestCoreMatchesCodecEveryCodec(t *testing.T) {
 	}
 }
 
-// TestTableCacheRetrainsOnVersion2Record pins the table wire-format bump: a
-// version-2 record (with the dropped gap-array interval byte) already in the
-// store is undecodable, so the cache retrains instead of serving it, and
-// overwrites it with a current record.
-func TestTableCacheRetrainsOnVersion2Record(t *testing.T) {
-	st, err := resultstore.Open(t.TempDir(), resultstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := workloads.ByName("TP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fresh TableCache
-	tab, err := fresh.Table(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := tab.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := append([]byte{2, cur[1], 4}, cur[2:]...)
-	key, err := st.Key(kindTable, tableMaterial(tp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutBytes(key, kindTable, "bin", v2); err != nil {
-		t.Fatal(err)
-	}
-
-	core := newTestCore(0)
-	core.SetStore(st)
-	if _, err := core.Tables.Table(tp); err != nil {
-		t.Fatal(err)
-	}
-	if s := core.Tables.Stats(); s.Retrains != 1 || s.DiskHits != 0 {
-		t.Fatalf("version-2 record: retrains %d, disk hits %d; want 1 and 0", s.Retrains, s.DiskHits)
-	}
-	got, hit, err := st.GetBytes(key)
-	if err != nil || !hit {
-		t.Fatalf("rewritten record: hit %v, err %v", hit, err)
-	}
-	if !bytes.Equal(got, cur) {
-		t.Fatal("retrain did not overwrite the version-2 record with the current one")
-	}
-}
-
 // TestWarmTableZeroRetrains pins the builder cache: the first e2mc request
 // trains the table, every subsequent request reuses it.
 func TestWarmTableZeroRetrains(t *testing.T) {
