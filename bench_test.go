@@ -195,7 +195,8 @@ func BenchmarkAblationExtraNodes(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMDC shrinks the metadata cache to expose its role.
+// BenchmarkAblationMDC shrinks the metadata cache to expose its role: the
+// memoised cell's trace is replayed with a 16-line MDC.
 func BenchmarkAblationMDC(b *testing.B) {
 	w, err := workloads.ByName("NN")
 	if err != nil {
@@ -204,19 +205,24 @@ func BenchmarkAblationMDC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sharedR()
 		cfg := experiments.TSLCConfig(slc.OPT, compress.MAG32, 128)
-		full, err := experiments.RerunTiming(r, w, cfg, nil)
+		full, err := r.Run(w, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tiny, err := experiments.RerunTiming(r, w, cfg, func(c *sim.Config) {
-			c.MC.MDCLines = 16
-		})
+		tr, _, err := r.Trace(w, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(tiny.TimeNs/full.TimeNs, "slowdown-16-line-MDC")
+		sc := experiments.SimConfig(cfg)
+		sc.Workers = r.SimWorkers
+		sc.MC.MDCLines = 16
+		tiny, err := sim.Run(tr, sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(tiny.TimeNs/full.Sim.TimeNs, "slowdown-16-line-MDC")
 		b.ReportMetric(float64(tiny.MC.MDCMisses), "MDC-misses-tiny")
-		b.ReportMetric(float64(full.MC.MDCMisses), "MDC-misses-default")
+		b.ReportMetric(float64(full.Sim.MC.MDCMisses), "MDC-misses-default")
 	}
 }
 
@@ -239,10 +245,10 @@ func BenchmarkAblationPrediction(b *testing.B) {
 	}
 }
 
-// simBenchTrace is a synthetic streaming trace stressing the event engine:
-// 1024 warps × 200 accesses with a write mixed in, matching the shape the
-// sim package's own benchmarks use.
-func simBenchTrace() *trace.Trace {
+// syntheticSimTrace is a streaming trace stressing the event engine: 1024
+// warps × 200 accesses with a write mixed in, matching the shape the sim
+// package's own benchmarks use.
+func syntheticSimTrace() *trace.Trace {
 	k := trace.Kernel{Name: "bench", Warps: make([][]trace.Access, 1024)}
 	for w := range k.Warps {
 		accs := make([]trace.Access, 200)
@@ -268,7 +274,7 @@ func benchSimReplay(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := simBenchTrace()
+	tr := syntheticSimTrace()
 	want, err := s.Replay(tr) // warm-up; pins the expected Result
 	if err != nil {
 		b.Fatal(err)

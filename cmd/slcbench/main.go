@@ -176,6 +176,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// compression-only sweeps.
 	var full, comp []experiments.Cell
 	var target string
+	var figure experiments.Figure
 	switch {
 	case *all:
 		target = "all"
@@ -186,10 +187,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		full = experiments.AblationCells()
 	case *fig != 0:
 		target = fmt.Sprintf("fig%d", *fig)
-		full, comp = experiments.CellsForFigure(*fig)
-		if len(full)+len(comp) == 0 {
-			return fail(fmt.Errorf("unknown figure %d (have 1, 2, 7, 8, 9)", *fig))
+		if figure, err = experiments.LookupFigure(*fig); err != nil {
+			return fail(err)
 		}
+		full, comp = figure.Full(), figure.Comp()
 	case *matrix != "":
 		target = "matrix:" + *matrix
 		var merr error
@@ -299,9 +300,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return fail(fmt.Errorf("unknown table %d (have 1, 2, 3)", *table))
 		}
 	case *fig != 0:
-		if err := runFigure(w, r, *fig); err != nil {
+		f, err := figure.Render(r)
+		if err != nil {
 			return fail(err)
 		}
+		fmt.Fprint(w, f)
 	case *matrix != "":
 		if err := printMatrix(w, r, *matrix, full, comp); err != nil {
 			return fail(err)
@@ -369,44 +372,6 @@ func printMatrix(w io.Writer, r *experiments.Runner, name string, full, comp []e
 		}
 		fmt.Fprintf(w, "  %-6s × %-20s compression only   CR %.2f/%.2f\n",
 			c.Workload.Info().Name, c.Config.Name, st.RawRatio(), st.EffectiveRatio())
-	}
-	return nil
-}
-
-func runFigure(w io.Writer, r *experiments.Runner, fig int) error {
-	switch fig {
-	case 1:
-		f, err := experiments.Figure1(r, compress.MAG32)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 2:
-		f, err := experiments.Figure2(r, compress.MAG32)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 7:
-		f, err := experiments.Figure7(r)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 8:
-		f, err := experiments.Figure8(r)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	case 9:
-		f, err := experiments.Figure9(r)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, f)
-	default:
-		return fmt.Errorf("unknown figure %d (have 1, 2, 7, 8, 9)", fig)
 	}
 	return nil
 }

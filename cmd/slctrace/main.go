@@ -26,10 +26,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/experiments"
-	"repro/internal/gpu/device"
 	"repro/internal/gpu/sim"
-	"repro/internal/gpu/trace"
-	"repro/internal/pipeline"
 	"repro/internal/storeflag"
 	"repro/internal/workloads"
 )
@@ -82,6 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	r := experiments.NewRunner()
+	r.SyncWorkers = experiments.Workers(*parallel)
 	r.Progress = func(s string) { fmt.Fprintln(stderr, "  ..", s) }
 	// The store serves slctrace's entropy-table training (tables are the
 	// expensive part of building a tslc-* pipeline).
@@ -89,23 +87,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	// Build the configured pipeline and record the trace.
-	dev := device.New()
-	lossless, lossy, err := experiments.RunnerCodecs(r, w, cfg)
+	// Record the trace under the configured pipeline, as a Runner cell does.
+	tr, cs, err := r.Trace(w, cfg)
 	if err != nil {
 		return fail(err)
 	}
-	pl, err := pipeline.New(dev, mag, lossless, lossy)
-	if err != nil {
-		return fail(err)
-	}
-	pl.SetWorkers(experiments.Workers(*parallel))
-	rec := trace.NewRecorder(pl.BurstsFor)
-	if _, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync)); err != nil {
-		return fail(err)
-	}
-
-	tr := rec.Trace()
 	fmt.Fprintf(stdout, "%s trace (%s)\n", w.Info().Name, cfg.Name)
 	for _, k := range tr.Kernels {
 		var acc, rd, wr, bursts int
@@ -127,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "total: %d kernels, %d accesses, %d bursts, %.2f MB\n",
 		st.Kernels, st.Accesses, st.Bursts, float64(st.Bytes)/1e6)
 
-	cs := pl.Stats()
 	fmt.Fprintf(stdout, "\ncompressed-block distribution (bytes above a multiple of MAG):\n")
 	for x, cnt := range cs.AboveMAG {
 		if cnt == 0 {

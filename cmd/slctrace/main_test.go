@@ -65,3 +65,17 @@ func TestNoBenchExitsNonZero(t *testing.T) {
 		t.Fatalf("missing -bench exited %d, want 2", code)
 	}
 }
+
+// TestTraceAndReplaySucceeds drives the success path end to end: the trace
+// is recorded through Runner.Trace and replayed through the simulator.
+func TestTraceAndReplaySucceeds(t *testing.T) {
+	code, stdout, stderr := runCLI("-bench", "TP", "-codec", "e2mc", "-sim")
+	if code != 0 {
+		t.Fatalf("exited %d, want 0; stderr: %s", code, stderr)
+	}
+	for _, want := range []string{"  kernel ", "raw CR ", "timing replay: "} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+}

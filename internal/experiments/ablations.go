@@ -30,10 +30,15 @@ type Ablations struct {
 	MDCMissesDefault  int
 }
 
-// RunAblations executes the sweeps. It reuses the runner's memoised cells
-// where possible; the threshold sweep covers all nine benchmarks.
+// ablationThresholds are the lossy thresholds of the sweep, in bytes.
+var ablationThresholds = []int{4, 8, 16, 24, 32}
+
+// RunAblations executes the sweeps. Every figure comes from the runner's
+// memoised cells (AblationCells); only the MDC study re-times one of them,
+// replaying its trace with a 16-line metadata cache. The threshold sweep
+// covers all nine benchmarks.
 func RunAblations(r *Runner) (Ablations, error) {
-	a := Ablations{Thresholds: []int{4, 8, 16, 24, 32}}
+	a := Ablations{Thresholds: ablationThresholds}
 
 	for _, tb := range a.Thresholds {
 		var sp, er, bw []float64
@@ -92,17 +97,23 @@ func RunAblations(r *Runner) (Ablations, error) {
 	a.PredictionErrPct = [2]float64{simp.ErrorFrac * 100, predNN.ErrorFrac * 100}
 
 	cfg := TSLCConfig(slc.OPT, compress.MAG32, DefaultThresholdBits)
-	full, err := RerunTiming(r, nn, cfg, nil)
+	full, err := r.Run(nn, cfg)
 	if err != nil {
 		return Ablations{}, err
 	}
-	tiny, err := RerunTiming(r, nn, cfg, func(c *sim.Config) { c.MC.MDCLines = 16 })
+	tr, _, err := r.Trace(nn, cfg)
 	if err != nil {
 		return Ablations{}, err
 	}
-	a.MDCSlowdownTiny = tiny.TimeNs / full.TimeNs
+	sc := r.simConfig(cfg)
+	sc.MC.MDCLines = 16
+	tiny, err := sim.Run(tr, sc)
+	if err != nil {
+		return Ablations{}, err
+	}
+	a.MDCSlowdownTiny = tiny.TimeNs / full.Sim.TimeNs
 	a.MDCMissesTiny = tiny.MC.MDCMisses
-	a.MDCMissesDefault = full.MC.MDCMisses
+	a.MDCMissesDefault = full.Sim.MC.MDCMisses
 	return a, nil
 }
 

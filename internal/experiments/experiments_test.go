@@ -230,6 +230,46 @@ func TestRunAllParallelSyncMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesRun pins Runner.Trace to the cell body Run executes: the
+// same compression statistics, the same trace, and a replay of that trace
+// that reproduces the cell's timing result bit for bit. RunAblations takes
+// the default-MDC result from the memoised cell and re-times only the trace,
+// so it relies on this identity. Parallel sync covers the block fan-out.
+func TestTraceMatchesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runner integration in -short mode")
+	}
+	w := tpWorkload(t)
+	r := NewRunner()
+	r.SyncWorkers = 2
+	for _, cfg := range []Config{
+		E2MCConfig(compress.MAG32),
+		TSLCConfig(slc.OPT, compress.MAG32, DefaultThresholdBits),
+	} {
+		want, err := r.Run(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, comp, err := r.Trace(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(comp, want.Comp) {
+			t.Errorf("%s: Trace stats %+v, Run %+v", cfg.Name, comp, want.Comp)
+		}
+		if got := tr.Stats(cfg.MAG); got != want.Trace {
+			t.Errorf("%s: trace stats %+v, Run %+v", cfg.Name, got, want.Trace)
+		}
+		got, err := sim.Run(tr, r.simConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.Sim {
+			t.Errorf("%s: replay %+v, Run %+v", cfg.Name, got, want.Sim)
+		}
+	}
+}
+
 // TestRunAllReportsCellErrors checks that a bad cell surfaces in the joined
 // error while good cells still produce results.
 func TestRunAllReportsCellErrors(t *testing.T) {

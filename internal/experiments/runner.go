@@ -242,15 +242,53 @@ func SimConfig(cfg Config) sim.Config {
 	return sc
 }
 
-// newPipeline builds the pipeline of one cell, applying the runner's sync
-// parallelism.
-func (r *Runner) newPipeline(dev *device.Device, cfg Config, lossless, lossy compress.Codec) (*pipeline.Pipeline, error) {
+// simConfig is SimConfig at the runner's simulator parallelism: the
+// configuration every cell's timing simulation runs under.
+func (r *Runner) simConfig(cfg Config) sim.Config {
+	sc := SimConfig(cfg)
+	sc.Workers = r.SimWorkers
+	return sc
+}
+
+// execute is the one cell body: it builds the configuration's codecs
+// through RunnerCodecs and runs w once on a fresh device under the cell's
+// pipeline at the runner's sync parallelism. It returns the workload's
+// outputs and the pipeline's statistics, plus the memory access trace when
+// record is set (nil otherwise).
+func (r *Runner) execute(w workloads.Workload, cfg Config, record bool) ([]float64, pipeline.Stats, *trace.Trace, error) {
+	lossless, lossy, err := RunnerCodecs(r, w, cfg)
+	if err != nil {
+		return nil, pipeline.Stats{}, nil, err
+	}
+	dev := device.New()
 	pl, err := pipeline.New(dev, cfg.MAG, lossless, lossy)
 	if err != nil {
-		return nil, err
+		return nil, pipeline.Stats{}, nil, err
 	}
 	pl.SetWorkers(r.SyncWorkers)
-	return pl, nil
+	var rec *trace.Recorder
+	if record {
+		rec = trace.NewRecorder(pl.BurstsFor)
+	}
+	out, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
+	if err != nil {
+		return nil, pipeline.Stats{}, nil, fmt.Errorf("%s × %s: %w", w.Info().Name, cfg.Name, err)
+	}
+	var tr *trace.Trace
+	if record {
+		tr = rec.Trace()
+	}
+	return out, pl.Stats(), tr, nil
+}
+
+// Trace runs w under the configuration's pipeline exactly as a full cell
+// does and returns the recorded memory access trace and the compression
+// statistics, without the golden run, error metric or timing simulation.
+// It is not memoised: replaying the trace under a modified sim.Config is
+// how the MDC ablation, simbench and slctrace time one cell.
+func (r *Runner) Trace(w workloads.Workload, cfg Config) (*trace.Trace, pipeline.Stats, error) {
+	_, comp, tr, err := r.execute(w, cfg, true)
+	return tr, comp, err
 }
 
 // Run executes one evaluation cell (memoised; concurrent calls for the same
@@ -272,30 +310,16 @@ func (r *Runner) run(w workloads.Workload, cfg Config) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	lossless, lossy, err := RunnerCodecs(r, w, cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
 	r.progress("run: %s × %s", info.Name, cfg.Name)
-
-	dev := device.New()
-	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
+	out, comp, tr, err := r.execute(w, cfg, true)
 	if err != nil {
 		return RunResult{}, err
-	}
-	rec := trace.NewRecorder(pl.BurstsFor)
-	out, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync))
-	if err != nil {
-		return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
 	}
 	errFrac, err := metrics.Eval(info.Metric, golden, out)
 	if err != nil {
 		return RunResult{}, err
 	}
-	tr := rec.Trace()
-	sc := SimConfig(cfg)
-	sc.Workers = r.SimWorkers
-	simRes, err := sim.Run(tr, sc)
+	simRes, err := sim.Run(tr, r.simConfig(cfg))
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -309,7 +333,7 @@ func (r *Runner) run(w workloads.Workload, cfg Config) (RunResult, error) {
 		ErrorFrac: errFrac,
 		Sim:       simRes,
 		Energy:    energy,
-		Comp:      pl.Stats(),
+		Comp:      comp,
 		Trace:     tr.Stats(cfg.MAG),
 	}, nil
 }
@@ -327,21 +351,12 @@ func (r *Runner) CompressionOnly(w workloads.Workload, cfg Config) (pipeline.Sta
 
 // compressOnly computes one compression-only cell.
 func (r *Runner) compressOnly(w workloads.Workload, cfg Config) (RunResult, error) {
-	info := w.Info()
-	lossless, lossy, err := RunnerCodecs(r, w, cfg)
+	r.progress("compress: %s × %s", w.Info().Name, cfg.Name)
+	_, comp, _, err := r.execute(w, cfg, false)
 	if err != nil {
 		return RunResult{}, err
 	}
-	r.progress("compress: %s × %s", info.Name, cfg.Name)
-	dev := device.New()
-	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if _, err := w.Run(workloads.NewCtx(dev, nil, pl.Sync)); err != nil {
-		return RunResult{}, fmt.Errorf("%s × %s: %w", info.Name, cfg.Name, err)
-	}
-	return RunResult{Workload: info.Name, Config: cfg, Comp: pl.Stats()}, nil
+	return RunResult{Workload: w.Info().Name, Config: cfg, Comp: comp}, nil
 }
 
 // Cell is one entry of an evaluation matrix: a workload under a
@@ -430,22 +445,6 @@ func (r *Runner) forEachCell(workers int, fn func(int) error, cells []Cell, errs
 	wg.Wait()
 }
 
-// CellsForFigure returns the cells one figure renders — full-run cells to
-// warm with RunAll and compression-only cells to warm with CompressAll.
-// Keep this in sync when adding a figure, so `slcbench -fig N -parallel`
-// keeps covering it. Unknown figures return nothing.
-func CellsForFigure(fig int) (full, comp []Cell) {
-	switch fig {
-	case 1, 2:
-		comp = CompressionCells(compress.MAG32)
-	case 7, 8:
-		full = Fig7Cells()
-	case 9:
-		full = Fig9Cells()
-	}
-	return full, comp
-}
-
 // CompressionCells returns the compression-only cells of Figures 1 and 2:
 // every workload under each Figure 1 codec at the given MAG (Figure 2 reads
 // the E2MC cells). Warm them with CompressAll.
@@ -479,7 +478,7 @@ func Fig7Cells() []Cell {
 func Fig9Cells() []Cell {
 	var cells []Cell
 	for _, w := range workloads.Registry() {
-		for _, mag := range []compress.MAG{compress.MAG16, compress.MAG32, compress.MAG64} {
+		for _, mag := range Fig9MAGs {
 			cells = append(cells, Cell{w, E2MCConfig(mag)})
 			cells = append(cells, Cell{w, TSLCConfig(slc.OPT, mag, mag.Bits()/2)})
 		}
@@ -493,7 +492,7 @@ func AblationCells() []Cell {
 	var cells []Cell
 	for _, w := range workloads.Registry() {
 		cells = append(cells, Cell{w, E2MCConfig(compress.MAG32)})
-		for _, tb := range []int{4, 8, 16, 24, 32} {
+		for _, tb := range ablationThresholds {
 			cells = append(cells, Cell{w, TSLCConfig(slc.OPT, compress.MAG32, tb*8)})
 		}
 	}
@@ -532,29 +531,4 @@ func EvaluationCells() []Cell {
 // such as slctrace use it too.
 func RunnerCodecs(r *Runner, w workloads.Workload, cfg Config) (lossless, lossy compress.Codec, err error) {
 	return r.tables.Codecs(w, cfg.Codec, cfg.MAG, cfg.ThresholdBits, cfg.ErrorBound)
-}
-
-// RerunTiming re-simulates a previously executed configuration with a
-// modified simulator configuration; used by calibration experiments and
-// ablations.
-func RerunTiming(r *Runner, w workloads.Workload, cfg Config, mod func(*sim.Config)) (sim.Result, error) {
-	lossless, lossy, err := RunnerCodecs(r, w, cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	dev := device.New()
-	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	rec := trace.NewRecorder(pl.BurstsFor)
-	if _, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync)); err != nil {
-		return sim.Result{}, err
-	}
-	sc := SimConfig(cfg)
-	sc.Workers = r.SimWorkers
-	if mod != nil {
-		mod(&sc)
-	}
-	return sim.Run(rec.Trace(), sc)
 }

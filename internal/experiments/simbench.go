@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/gpu/device"
 	"repro/internal/gpu/sim"
-	"repro/internal/gpu/trace"
 	"repro/internal/workloads"
 )
 
@@ -48,25 +46,6 @@ type SimBench struct {
 	EventsPerSec float64
 }
 
-// simBenchTrace records the workload's trace under the given configuration,
-// exactly as a Runner cell would (same pipeline, same burst geometry).
-func simBenchTrace(r *Runner, w workloads.Workload, cfg Config) (*trace.Trace, sim.Config, error) {
-	lossless, lossy, err := RunnerCodecs(r, w, cfg)
-	if err != nil {
-		return nil, sim.Config{}, err
-	}
-	dev := device.New()
-	pl, err := r.newPipeline(dev, cfg, lossless, lossy)
-	if err != nil {
-		return nil, sim.Config{}, err
-	}
-	rec := trace.NewRecorder(pl.BurstsFor)
-	if _, err := w.Run(workloads.NewCtx(dev, rec, pl.Sync)); err != nil {
-		return nil, sim.Config{}, fmt.Errorf("simbench %s: %w", w.Info().Name, err)
-	}
-	return rec.Trace(), SimConfig(cfg), nil
-}
-
 // MeasureSimBench replays one workload's E2MC trace through a single
 // Simulator until the measurement window fills and reports the throughput.
 // Every replay's Result must be bitwise-identical to the first — a replay
@@ -74,10 +53,11 @@ func simBenchTrace(r *Runner, w workloads.Workload, cfg Config) (*trace.Trace, s
 func MeasureSimBench(r *Runner, w workloads.Workload, workers int) (SimBench, error) {
 	name := w.Info().Name
 	cfg := E2MCConfig(compress.MAG32)
-	tr, sc, err := simBenchTrace(r, w, cfg)
+	tr, _, err := r.Trace(w, cfg)
 	if err != nil {
-		return SimBench{}, err
+		return SimBench{}, fmt.Errorf("simbench: %w", err)
 	}
+	sc := SimConfig(cfg)
 	sc.Workers = workers
 	s, err := sim.New(sc)
 	if err != nil {

@@ -27,9 +27,9 @@ type simGolden struct {
 }
 
 // TestSimResultsGolden pins the timing simulator on every real workload
-// trace: each workload's E2MC@32B trace (recorded exactly as simbench
-// records it) is replayed at workers 1 and 4, and the Result and event
-// count must match the committed fixture bit for bit. Together with
+// trace: each workload's E2MC@32B trace (recorded by Runner.Trace, as
+// simbench records it) is replayed at workers 1 and 4, and the Result and
+// event count must match the committed fixture bit for bit. Together with
 // TestShardedMatchesSerial this is the simulator's replay contract: a
 // refactor of events, dram, mc or sim that moves any event leaves a diff
 // here. Regenerate deliberately with
@@ -49,10 +49,11 @@ func TestSimResultsGolden(t *testing.T) {
 		for i, w := range ws {
 			t.Run(w.Info().Name, func(t *testing.T) {
 				t.Parallel()
-				tr, sc, err := simBenchTrace(r, w, cfg)
+				tr, _, err := r.Trace(w, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				sc := SimConfig(cfg)
 				for _, workers := range simGoldenWorkers {
 					sc.Workers = workers
 					s, err := sim.New(sc)

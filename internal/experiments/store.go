@@ -36,12 +36,10 @@ func goldenMaterial(w workloads.Workload) resultstore.Material {
 // under (so MAG, threshold, codec name, latencies and worker counts each
 // change the key).
 func (r *Runner) cellMaterial(w workloads.Workload, cfg Config) resultstore.Material {
-	sc := SimConfig(cfg)
-	sc.Workers = r.SimWorkers
 	return resultstore.Material{
 		"workload": workloads.Fingerprint(w),
 		"config":   cfg,
-		"sim":      sc,
+		"sim":      r.simConfig(cfg),
 	}
 }
 
